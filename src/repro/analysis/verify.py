@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-import numpy as np
-
 from repro.graphs.setcover import SetCoverInstance
 from repro.graphs.topology import PortNumberedGraph
 
@@ -170,6 +168,8 @@ def edge_packing_feasible_fast(
     """
     if graph.m == 0:
         return True
+    import numpy as np
+
     yv = np.asarray([float(v) for v in y_values], dtype=float)
     if (yv < -tol).any():
         return False

@@ -12,8 +12,6 @@ from __future__ import annotations
 from itertools import combinations
 from typing import FrozenSet, Iterable, Sequence, Tuple
 
-import numpy as np
-
 from repro.graphs.setcover import SetCoverInstance
 from repro.graphs.topology import PortNumberedGraph
 
@@ -32,6 +30,7 @@ def exact_min_vertex_cover(
 
     minimise  w·x   s.t.  x_u + x_v >= 1 for every edge, x binary.
     """
+    import numpy as np
     from scipy.optimize import LinearConstraint, milp
 
     n = graph.n
@@ -57,6 +56,7 @@ def exact_min_vertex_cover(
 
 def exact_min_set_cover(instance: SetCoverInstance) -> Tuple[int, FrozenSet[int]]:
     """Optimal weighted set cover via MILP (HiGHS)."""
+    import numpy as np
     from scipy.optimize import LinearConstraint, milp
 
     n = instance.n_subsets
@@ -83,6 +83,7 @@ def exact_min_set_cover(instance: SetCoverInstance) -> Tuple[int, FrozenSet[int]
 
 
 def _unit_box(n: int):
+    import numpy as np
     from scipy.optimize import Bounds
 
     return Bounds(lb=np.zeros(n), ub=np.ones(n))

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-import numpy as np
-
 from repro.graphs.setcover import SetCoverInstance
 from repro.graphs.topology import PortNumberedGraph
 
@@ -22,6 +20,7 @@ def vertex_cover_lp_bound(
     graph: PortNumberedGraph, weights: Sequence[int]
 ) -> float:
     """Optimal value of the VC LP relaxation (HiGHS)."""
+    import numpy as np
     from scipy.optimize import linprog
 
     if graph.m == 0:
@@ -45,6 +44,7 @@ def vertex_cover_lp_bound(
 
 def set_cover_lp_bound(instance: SetCoverInstance) -> float:
     """Optimal value of the SC LP relaxation (HiGHS)."""
+    import numpy as np
     from scipy.optimize import linprog
 
     if instance.n_elements == 0:

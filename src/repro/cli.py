@@ -98,6 +98,13 @@ from repro._util.parallel import BACKENDS
 
 __all__ = ["main"]
 
+_ENGINE_HELP = (
+    "runtime execution substrate for --algorithm port: 'auto' vectorises "
+    "Phase I whenever the run qualifies, 'object' forces the per-node "
+    "path, 'columnar' requests the vectorised path and logs a fallback; "
+    "the result is bit-identical on every choice"
+)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -122,9 +129,8 @@ def _build_parser() -> argparse.ArgumentParser:
     vc.add_argument(
         "--engine",
         choices=list(ENGINES),
-        default="object",
-        help="runtime execution substrate for --algorithm port "
-        "('columnar' vectorises Phase I; results bit-identical)",
+        default="auto",
+        help=_ENGINE_HELP,
     )
     vc.add_argument(
         "--shards", type=int, default=1,
@@ -197,9 +203,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument(
         "--engine",
         choices=list(ENGINES),
-        default="object",
-        help="runtime execution substrate for --algorithm port "
-        "('columnar' vectorises Phase I; results bit-identical)",
+        default="auto",
+        help=_ENGINE_HELP,
     )
     sw.add_argument(
         "--shards", type=int, default=1,

@@ -938,7 +938,7 @@ class EdgePackingMachine(Machine):
             raise AssertionError(f"unexpected star reply {msg!r}")
         return st
 
-    # -- columnar kernels (engine="columnar") ---------------------------
+    # -- columnar kernels (engine="auto" / "columnar") ------------------
     #
     # Phase I on int64 columns: the Lemma 2 grid makes every Phase I
     # quantity a plain machine integer (numerators against the shared
@@ -953,6 +953,11 @@ class EdgePackingMachine(Machine):
     #: reaches is a colour accumulator < radix^Δ.
     _COLUMNAR_INT_BOUND = 2 ** 63
 
+    #: Per-node hooks the kernels stand in for during Phase I.  A
+    #: subclass overriding any of them gets no plan: the kernels would
+    #: silently skip its override.
+    _COLUMNAR_REPLACES = ("start", "emit", "step", "halted")
+
     def columnar_fields(
         self, graph: PortNumberedGraph, ctxs: Sequence[LocalContext]
     ) -> Optional[ColumnarPlan]:
@@ -961,11 +966,18 @@ class EdgePackingMachine(Machine):
         Engages only for scaled-arithmetic digit-mode runs whose colour
         accumulators provably fit an ``int64`` (``radix^Δ < 2^63``).
         Anything else — fraction mode, bignum radix, missing/invalid
-        globals (the object path raises the canonical error) — returns
-        ``None``: falling back is always correct, engaging wrongly
-        never is.
+        globals (the object path raises the canonical error), a
+        subclass overriding a hook in :attr:`_COLUMNAR_REPLACES` —
+        returns ``None``: falling back is always correct, engaging
+        wrongly never is.
         """
         if self.arithmetic != "scaled" or not ctxs:
+            return None
+        cls = type(self)
+        if any(
+            getattr(cls, hook) is not getattr(EdgePackingMachine, hook)
+            for hook in self._COLUMNAR_REPLACES
+        ):
             return None
         g = ctxs[0].globals
         delta = g.get("delta")
@@ -1270,7 +1282,7 @@ def edge_packing_job(
     max_rounds: Optional[int] = None,
     metering: Any = "bits",
     arithmetic: str = "scaled",
-    engine: str = "object",
+    engine: str = "auto",
     shards: int = 1,
 ) -> Dict[str, Any]:
     """A validated :func:`repro.simulator.runtime.run` kwargs mapping.
@@ -1298,7 +1310,7 @@ def edge_packing_job(
         "max_rounds": needed if max_rounds is None else max_rounds,
         "metering": metering,
     }
-    if engine != "object":
+    if engine != "auto":
         # Included only when non-default, so the mapping stays a valid
         # run_reference() kwargs set for the default configuration.
         job["engine"] = engine
@@ -1358,7 +1370,7 @@ def maximal_edge_packing(
     max_rounds: Optional[int] = None,
     metering: Any = "bits",
     arithmetic: str = "scaled",
-    engine: str = "object",
+    engine: str = "auto",
     shards: int = 1,
 ) -> EdgePackingResult:
     """Run the Section 3 algorithm and assemble the packing.

@@ -72,7 +72,7 @@ def vertex_cover_2approx(
     delta: Optional[int] = None,
     W: Optional[int] = None,
     arithmetic: str = "scaled",
-    engine: str = "object",
+    engine: str = "auto",
     shards: int = 1,
 ) -> VertexCoverResult:
     """Section 3: 2-approximate weighted VC in the port-numbering model.

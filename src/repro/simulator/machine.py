@@ -127,9 +127,9 @@ class Machine:
     machine that never replays.
 
     **Optional columnar protocol** (another pure optimisation; see
-    :mod:`repro.simulator.state_layout`).  Under
-    ``run(engine="columnar")`` a machine may execute a *leading prefix*
-    of its rounds as vectorised whole-array kernels over a
+    :mod:`repro.simulator.state_layout`).  Under ``run(engine="auto")``
+    (the default) or ``"columnar"`` a machine may execute a *leading
+    prefix* of its rounds as vectorised whole-array kernels over a
     :class:`~repro.simulator.state_layout.StateLayout` instead of
     per-node ``step()`` calls:
 
@@ -139,6 +139,7 @@ class Machine:
         out and the object engine handles it.  Machines must return
         ``None`` for any configuration their kernels do not reproduce
         exactly (wrong arithmetic mode, values off the ``int64`` grid,
+        a subclass overriding a per-node hook the kernels replace,
         ...) — falling back is always correct, engaging wrongly never.
     ``start_columnar(layout, ctxs)``
         fill the declared columns with the initial state, applying the

@@ -85,12 +85,14 @@ __all__ = [
 
 Observer = Callable[[int, List[Any], List[Any]], None]
 
-#: Accepted ``engine=`` values for :func:`run`.  ``"object"`` is the
-#: per-node fast engine; ``"columnar"`` runs machines that opt in via
-#: the columnar protocol (see :mod:`repro.simulator.state_layout`) as
-#: whole-array passes, falling back to ``"object"`` automatically for
-#: runs that do not qualify.  Results are bit-for-bit identical.
-ENGINES = ("object", "columnar")
+#: Accepted ``engine=`` values for :func:`run`.  ``"auto"`` (the
+#: default) runs the columnar plan whenever the run qualifies and the
+#: object engine otherwise, silently; ``"object"`` forces the per-node
+#: fast engine; ``"columnar"`` requests the columnar protocol (see
+#: :mod:`repro.simulator.state_layout`) and logs an ``engine.fallback``
+#: event for runs that do not qualify.  Results are bit-for-bit
+#: identical.
+ENGINES = ("auto", "object", "columnar")
 
 #: Accepted ``on_max_rounds=`` values for :func:`run` /
 #: :func:`run_reference`: ``"return"`` keeps the historical behaviour
@@ -267,7 +269,7 @@ def run(
     fault_adversary: Optional[Any] = None,
     metering: Union[Metering, str, None] = Metering.BITS,
     replay: Optional[str] = None,
-    engine: str = "object",
+    engine: str = "auto",
     shards: int = 1,
     on_max_rounds: str = "return",
 ) -> RunResult:
@@ -286,14 +288,16 @@ def run(
     without replay semantics accept and ignore it.  Results are
     bit-for-bit identical across replay modes.
 
-    ``engine`` selects the execution substrate (see :data:`ENGINES`):
-    ``"columnar"`` runs the leading rounds of machines that implement
-    the columnar protocol (:mod:`repro.simulator.state_layout`) as
-    vectorised whole-array passes, then hands the remainder to the
+    ``engine`` selects the execution substrate (see :data:`ENGINES`).
+    The columnar plan runs the leading rounds of machines that
+    implement the columnar protocol (:mod:`repro.simulator.state_layout`)
+    as vectorised whole-array passes, then hands the remainder to the
     object engine.  Runs that do not qualify — machine opted out, no
     numpy, observer/adversary attached, empty graph, values off the
-    ``int64`` grid — fall back to ``"object"`` automatically.  Results
-    are bit-for-bit identical across engines
+    ``int64`` grid — take the object engine instead: silently under
+    ``"auto"`` (the default), with an ``engine.fallback`` event under
+    ``"columnar"``.  ``"object"`` never tries the plan.  Results are
+    bit-for-bit identical across engines
     (``tests/test_columnar_engine.py``).
 
     ``shards`` > 1 partitions the graph's nodes across that many worker
@@ -303,7 +307,7 @@ def run(
     engage — an observer attached, a fault adversary that is not
     ``process_safe``, graphs below the size floor, nested inside a
     worker process — fall back to ``shards=1`` automatically, and the
-    sharded path takes precedence over ``engine="columnar"`` when both
+    sharded path takes precedence over the columnar plan when both
     apply.  Results are bit-for-bit identical across shard counts
     (``tests/test_shard_differential.py``).
 
@@ -375,22 +379,17 @@ def run(
             )
     if result is None:
         ctxs = _make_contexts(graph, inputs, globals_map, seed)
-        if (
-            engine == "columnar"
-            and machine.model == PORT_NUMBERING
-            and observer is None
-            and fault_adversary is None
-        ):
-            result = _run_columnar_port(graph, machine, ctxs, max_rounds, meter)
-            if result is not None:
-                engine_used = "columnar"
-        elif engine == "columnar" and tr is not None:
-            tr.event(
-                EV_ENGINE_FALLBACK,
-                wanted="columnar",
-                reason="columnar engine needs the port-numbering model "
-                       "with no observer or fault adversary",
+        if engine != "object":
+            plan = _columnar_plan(
+                graph, machine, ctxs, max_rounds, observer, fault_adversary
             )
+            if isinstance(plan, state_layout.ColumnarPlan):
+                result = _run_columnar_port(
+                    graph, machine, ctxs, plan, max_rounds, meter
+                )
+                engine_used = "columnar"
+            elif engine == "columnar" and tr is not None:
+                tr.event(EV_ENGINE_FALLBACK, wanted="columnar", reason=plan)
         if result is None:
             states: List[Any] = [machine.start(ctxs[v]) for v in graph.nodes()]
             halted: List[bool] = [
@@ -420,14 +419,46 @@ def run(
     return result
 
 
-def _run_columnar_port(
+def _columnar_plan(
     graph: PortNumberedGraph,
     machine: Machine,
     ctxs: List[LocalContext],
     max_rounds: int,
+    observer: Optional[Observer],
+    fault_adversary: Optional[Any],
+) -> Union[state_layout.ColumnarPlan, str]:
+    """This run's columnar plan, or the reason it cannot engage one."""
+    if (
+        machine.model != PORT_NUMBERING
+        or observer is not None
+        or fault_adversary is not None
+    ):
+        return ("columnar engine needs the port-numbering model "
+                "with no observer or fault adversary")
+    if not state_layout.HAVE_NUMPY:
+        return "numpy is unavailable"
+    if graph.n == 0 or graph.m == 0:
+        return "graph has no nodes or no edges"
+    plan = machine.columnar_fields(graph, ctxs)
+    if plan is None:
+        return "machine declares no columnar plan"
+    if plan.rounds <= 0:
+        return "columnar plan covers no rounds"
+    if plan.rounds > max_rounds:
+        return (f"columnar plan needs {plan.rounds} rounds, "
+                f"max_rounds is {max_rounds}")
+    return plan
+
+
+def _run_columnar_port(
+    graph: PortNumberedGraph,
+    machine: Machine,
+    ctxs: List[LocalContext],
+    plan: state_layout.ColumnarPlan,
+    max_rounds: int,
     meter: Metering,
-) -> Optional[RunResult]:
-    """The columnar engine, or ``None`` when this run cannot engage it.
+) -> RunResult:
+    """The columnar engine on a plan :func:`_columnar_plan` accepted.
 
     Runs the machine's declared leading rounds as whole-array passes
     over a :class:`~repro.simulator.state_layout.StateLayout`, then
@@ -438,25 +469,6 @@ def _run_columnar_port(
     counterpart of the object engine's reused-buffer trap, made
     impossible rather than documented.
     """
-    if not state_layout.HAVE_NUMPY:
-        _columnar_fallback("numpy is unavailable")
-        return None
-    if graph.n == 0 or graph.m == 0:
-        _columnar_fallback("graph has no nodes or no edges")
-        return None
-    plan = machine.columnar_fields(graph, ctxs)
-    if plan is None:
-        _columnar_fallback("machine declares no columnar plan")
-        return None
-    if plan.rounds <= 0:
-        _columnar_fallback("columnar plan covers no rounds")
-        return None
-    if plan.rounds > max_rounds:
-        _columnar_fallback(
-            f"columnar plan needs {plan.rounds} rounds, "
-            f"max_rounds is {max_rounds}"
-        )
-        return None
     np = state_layout.np
     layout = state_layout.StateLayout(graph)
     for name, fill in plan.node_fields:
@@ -474,6 +486,7 @@ def _run_columnar_port(
     tr = obs.current()
     phase_t0 = tr.now() if tr is not None else 0.0
     for r in range(plan.rounds):
+        rt0 = tr.now() if tr is not None else 0.0
         values, sending, decode = machine.emit_columnar(layout, r)
         if layout.halted.any():
             sending = sending & ~layout.halted
@@ -495,6 +508,8 @@ def _run_columnar_port(
         inbox_vals.flags.writeable = False
         inbox_sent.flags.writeable = False
         machine.step_columnar(layout, r, inbox_vals, inbox_sent)
+        if tr is not None:
+            tr.complete(SPAN_ROUND, rt0, round=r)
 
     if tr is not None:
         tr.complete(
@@ -515,13 +530,6 @@ def _run_columnar_port(
         per_round_bits=per_round_bits + inner.per_round_bits,
         states=inner.states,
     )
-
-
-def _columnar_fallback(reason: str) -> None:
-    """Log why the columnar engine could not engage this run."""
-    tr = obs.current()
-    if tr is not None:
-        tr.event(EV_ENGINE_FALLBACK, wanted="columnar", reason=reason)
 
 
 def _run_fast_port(

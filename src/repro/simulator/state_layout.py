@@ -1,9 +1,10 @@
 """Columnar (struct-of-arrays) per-node state for the fast engine.
 
 The object engine steps machines node-by-node through Python objects;
-:class:`StateLayout` is the alternative substrate behind
-``run(engine="columnar")``: every state field is one preallocated
-``int64`` numpy column (per node, or per half-edge), message delivery
+:class:`StateLayout` is the alternative substrate behind ``run()``'s
+default ``engine="auto"`` (and ``"columnar"``): every state field is
+one preallocated ``int64`` numpy column (per node, or per half-edge),
+message delivery
 is a whole-array CSR gather, and a round is a handful of vectorised
 passes instead of ``n`` ``step()`` calls.
 
@@ -134,15 +135,16 @@ class StateLayout:
 
         ``np.add.reduceat`` mishandles empty segments (it returns the
         element *at* the offset instead of the identity), so degree-0
-        rows are zeroed explicitly and trailing offsets clamped —
-        isolated vertices are first-class here.
+        rows are zeroed explicitly.  Trailing isolated vertices have
+        offset ``len(edge_col)``, one past the last entry; a single
+        zero pad keeps that offset a valid index without cutting the
+        last non-empty segment short — isolated vertices are
+        first-class here.
         """
         if self.n == 0:
             return np.zeros(0, dtype=np.int64)
-        if len(edge_col) == 0:
-            return np.zeros(self.n, dtype=np.int64)
-        starts = np.minimum(self.offsets[:-1], len(edge_col) - 1)
-        sums = np.add.reduceat(edge_col, starts)
+        padded = np.append(edge_col, 0)
+        sums = np.add.reduceat(padded, self.offsets[:-1])
         sums[self.degrees == 0] = 0
         return sums
 

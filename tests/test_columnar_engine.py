@@ -12,17 +12,26 @@ bit counts, per-round bit traces, and final states.
 
 It also pins the engine's safety properties (read-only inbox columns,
 automatic fallback whenever the kernels cannot reproduce the object
-path exactly), the object engine's documented inbox-buffer-reuse trap,
+path exactly), the default ``engine="auto"`` (columnar whenever the run
+qualifies, the object engine silently otherwise — also with numpy
+blocked), the object engine's documented inbox-buffer-reuse trap,
 degenerate topologies through every entry point, and the
 ``on_max_rounds="raise"`` / :class:`MaxRoundsExceeded` plumbing.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
+import repro
+from repro import obs
 from repro.core.broadcast_vc import BroadcastVertexCoverMachine, bvc_round_count
 from repro.core.edge_packing import (
     EdgePackingMachine,
@@ -33,6 +42,8 @@ from repro.core.vertex_cover import vertex_cover_2approx
 from repro.graphs import families
 from repro.graphs.topology import PortNumberedGraph
 from repro.graphs.weights import unit_weights
+from repro.obs import EV_ENGINE_FALLBACK, EV_ENGINE_SELECTED, SPAN_PHASE
+from repro.simulator.faults import FaultAdversary
 from repro.simulator.machine import PORT_NUMBERING, Machine
 from repro.simulator.runtime import (
     ENGINES,
@@ -307,6 +318,170 @@ def test_generic_machines_opt_out_by_default():
 
 
 # ----------------------------------------------------------------------
+# engine="auto" (the default): columnar when the run qualifies, else
+# the object engine, silently
+# ----------------------------------------------------------------------
+
+
+def _traced(fn, *args, **kwargs):
+    tracer = obs.Tracer("auto")
+    with obs.tracing(tracer):
+        value = fn(*args, **kwargs)
+    return value, tracer
+
+
+def _selected(tracer):
+    (event,) = tracer.events(EV_ENGINE_SELECTED)
+    return event["args"]["engine"]
+
+
+def _auto_case():
+    """A weighted Δ=3 instance whose Phase I fits the int64 grid."""
+    g = families.petersen_graph()
+    rng = random.Random("auto")
+    weights = [rng.randint(1, 8) for _ in range(g.n)]
+    return g, weights, 8
+
+
+_DEFAULT_ENTRY_POINTS = {
+    "run": lambda g, weights, W, **engine: run(
+        g, EdgePackingMachine(), **ep_kwargs(g, weights, W), **engine
+    ),
+    "maximal_edge_packing": lambda g, weights, W, **engine: (
+        maximal_edge_packing(g, weights, W=W, **engine).run
+    ),
+    "vertex_cover_2approx": lambda g, weights, W, **engine: (
+        vertex_cover_2approx(g, weights, W=W, **engine).run
+    ),
+}
+
+
+@needs_numpy
+@pytest.mark.parametrize("entry", sorted(_DEFAULT_ENTRY_POINTS))
+def test_default_engine_engages_columnar(entry):
+    """With no ``engine=`` argument a qualifying §3 run takes the
+    columnar plan for all 2Δ+1 Phase I rounds, and still equals the
+    object and reference engines in every RunResult field."""
+    call = _DEFAULT_ENTRY_POINTS[entry]
+    g, weights, W = _auto_case()
+    result, tracer = _traced(call, g, weights, W)
+    assert _selected(tracer) == "columnar"
+    assert not tracer.events(EV_ENGINE_FALLBACK)
+    (phase,) = [e for e in tracer.events(SPAN_PHASE)
+                if e["args"].get("phase") == "columnar rounds"]
+    assert phase["args"]["rounds"] == 2 * g.max_degree + 1
+    assert_identical(result, call(g, weights, W, engine="object"))
+    assert_identical(
+        result,
+        run_reference(g, EdgePackingMachine(), **ep_kwargs(g, weights, W)),
+    )
+
+
+def _auto_declines():
+    g, weights, W = _auto_case()
+    kw = ep_kwargs(g, weights, W)
+    empty = PortNumberedGraph.from_edges(0, [])
+    return {
+        "broadcast": (
+            g, BroadcastVertexCoverMachine,
+            dict(kw, max_rounds=bvc_round_count(g.max_degree, W)),
+        ),
+        "observer": (
+            g, EdgePackingMachine,
+            dict(kw, observer=lambda r, states, outboxes: None),
+        ),
+        "fault_adversary": (
+            g, EdgePackingMachine, dict(kw, fault_adversary=FaultAdversary()),
+        ),
+        "fraction": (
+            g, lambda: EdgePackingMachine(arithmetic="fraction"), kw,
+        ),
+        "max_rounds_below_plan": (
+            g, EdgePackingMachine, dict(kw, max_rounds=2 * g.max_degree),
+        ),
+        "empty_graph": (
+            empty, EdgePackingMachine,
+            dict(ep_kwargs(empty, [], 1), globals_map={"delta": 1, "W": 1}),
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_auto_declines()))
+def test_auto_takes_object_engine_silently(case):
+    """Runs the columnar plan cannot serve select the object engine
+    under ``auto`` with no ``engine.fallback`` event — that event is
+    reserved for an explicit ``engine="columnar"`` request."""
+    g, make_machine, kw = _auto_declines()[case]
+    result, tracer = _traced(run, g, make_machine(), **kw)
+    assert _selected(tracer) == "object"
+    assert not tracer.events(EV_ENGINE_FALLBACK)
+    assert_identical(result, run(g, make_machine(), engine="object", **kw))
+
+
+def test_auto_skips_subclass_overriding_per_node_hooks():
+    """The kernels stand in for start/emit/step/halted during Phase I,
+    so a subclass overriding one of them must keep its override."""
+
+    class Counting(EdgePackingMachine):
+        def step(self, ctx, state, inbox):
+            return super().step(ctx, state, inbox)
+
+    g, weights, W = _auto_case()
+    assert Counting().columnar_fields(g, []) is None
+    result, tracer = _traced(run, g, Counting(), **ep_kwargs(g, weights, W))
+    assert _selected(tracer) == "object"
+    assert_identical(
+        result,
+        run(g, EdgePackingMachine(), engine="object",
+            **ep_kwargs(g, weights, W)),
+    )
+
+
+_NUMPY_BLOCKED = """
+import json, sys
+sys.modules["numpy"] = None
+import repro.cli
+from repro.core.vertex_cover import vertex_cover_2approx
+from repro.graphs import families
+from repro.simulator import state_layout
+
+vc = vertex_cover_2approx(families.grid_2d(3, 4), json.loads(sys.argv[1]))
+print(json.dumps({
+    "have_numpy": state_layout.HAVE_NUMPY,
+    "cover": sorted(vc.cover),
+    "rounds": vc.rounds,
+    "messages": vc.run.messages_sent,
+    "bits": vc.run.message_bits,
+}))
+"""
+
+
+def test_default_degrades_silently_without_numpy():
+    """``import repro.cli`` and the default §3 call need no numpy; the
+    auto engine then runs the object path with identical results."""
+    g = families.grid_2d(3, 4)
+    rng = random.Random("no-numpy")
+    weights = [rng.randint(1, 5) for _ in range(g.n)]
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_BLOCKED, json.dumps(weights)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    got = json.loads(proc.stdout)
+    assert got["have_numpy"] is False
+    want = vertex_cover_2approx(g, weights, engine="object")
+    assert got["cover"] == sorted(want.cover)
+    assert got["rounds"] == want.rounds
+    assert got["messages"] == want.run.messages_sent
+    assert got["bits"] == want.run.message_bits
+
+
+# ----------------------------------------------------------------------
 # Degenerate topologies, every entry point
 # ----------------------------------------------------------------------
 
@@ -327,19 +502,29 @@ def test_single_node(engine):
     assert result.is_cover()
 
 
+_ISOLATED = (
+    (6, [(0, 1), (2, 3)], [2, 3, 1, 4, 7, 1]),
+    # A degree-2 node right before a trailing isolated one: the last
+    # non-empty CSR segment must not be cut short.
+    (8, [(6, 2), (3, 6)], [2, 2, 2, 1, 1, 1, 1, 2]),
+)
+
+
 @pytest.mark.parametrize("metering", METERING_MODES)
 def test_isolated_vertices(metering):
     """Degree-0 nodes exercise the empty-segment corner of the CSR
     reductions; all three engines must agree on them."""
-    g = PortNumberedGraph.from_edges(6, [(0, 1), (2, 3)])
-    weights = [2, 3, 1, 4, 7, 1]
-    result = run_three_ways(
-        g, EdgePackingMachine(), **ep_kwargs(g, weights, 7, metering)
-    )
-    assert result.all_halted
-    vc = vertex_cover_2approx(g, weights, engine="columnar")
-    assert vc.is_cover()
-    assert {4, 5}.isdisjoint(vc.cover)  # isolated nodes never enter
+    for n, edges, weights in _ISOLATED:
+        g = PortNumberedGraph.from_edges(n, edges)
+        W = max(weights)
+        result = run_three_ways(
+            g, EdgePackingMachine(), **ep_kwargs(g, weights, W, metering)
+        )
+        assert result.all_halted
+        vc = vertex_cover_2approx(g, weights, engine="columnar")
+        assert vc.is_cover()
+        isolated = {v for v in g.nodes() if g.degree(v) == 0}
+        assert isolated.isdisjoint(vc.cover)  # isolated nodes never enter
 
 
 def test_self_loop_rejected():
