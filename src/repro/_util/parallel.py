@@ -83,9 +83,7 @@ __all__ = [
     "map_jobs",
     "resolve_backend",
     "retire_serve_pools",
-    "retire_shard_pools",
     "serve_pool",
-    "shard_pool",
     "shutdown_pools",
 ]
 
@@ -109,22 +107,13 @@ _BACKOFF_CAP_S = 1.0
 # pool start-up once.  Threads pools are cheap and stay per-call.
 _PROCESS_POOLS: Dict[int, ProcessPoolExecutor] = {}
 
-# Warm single-worker pools, one per shard index.  The sharded engine
-# (:mod:`repro.simulator.sharding`) keeps per-shard graph slices and
-# node states *resident in the worker* between rounds, so each shard
-# needs process affinity: every submission for shard i must land on the
-# same worker.  A plain ``_process_pool(p)`` cannot promise that, so
-# shards get dedicated max_workers=1 pools, warm across runs like the
-# chunked pools above and shut down with them atexit.
-_SHARD_POOLS: Dict[int, ProcessPoolExecutor] = {}
-
 # Warm single-worker pools for the dynamic serving host
-# (:mod:`repro.dynamic.serving`).  Same affinity story as the shard
-# pools — a serving worker keeps its assigned DynamicRun sessions
-# resident between batches, so every batch for a session must land on
-# the same process — but an independent lifecycle: a serving-worker
-# crash retires only the serving fleet, never a concurrent sharded run
-# (and vice versa).
+# (:mod:`repro.dynamic.serving`).  A serving worker keeps its assigned
+# DynamicRun sessions resident between batches, so every batch for a
+# session must land on the same process.  A plain ``_process_pool(p)``
+# cannot promise that, so each serving worker gets a dedicated
+# max_workers=1 pool, warm across hosts like the chunked pools above
+# and shut down with them atexit.
 _SERVE_POOLS: Dict[int, ProcessPoolExecutor] = {}
 
 
@@ -211,35 +200,7 @@ def shutdown_pools() -> None:
     while _PROCESS_POOLS:
         _, pool = _PROCESS_POOLS.popitem()
         pool.shutdown(wait=False, cancel_futures=True)
-    retire_shard_pools()
     retire_serve_pools()
-
-
-def shard_pool(index: int) -> ProcessPoolExecutor:
-    """The persistent single-worker pool dedicated to shard ``index``.
-
-    Created on first use, then warm for the interpreter's lifetime: a
-    sweep of sharded runs pays worker start-up once per shard, and the
-    worker-resident shard sessions (see
-    :mod:`repro.simulator.sharding`) always find their process again.
-    """
-    pool = _SHARD_POOLS.get(index)
-    if pool is None:
-        pool = _SHARD_POOLS[index] = ProcessPoolExecutor(max_workers=1)
-    return pool
-
-
-def retire_shard_pools() -> None:
-    """Shut down every shard pool (idempotent).
-
-    Crash recovery for the sharded engine: a worker death poisons its
-    pool *and* strands the sibling shards' sessions mid-round, so the
-    whole shard fleet is retired together and the next sharded run
-    starts on fresh workers.
-    """
-    while _SHARD_POOLS:
-        _, pool = _SHARD_POOLS.popitem()
-        pool.shutdown(wait=False, cancel_futures=True)
 
 
 def serve_pool(index: int) -> ProcessPoolExecutor:
@@ -262,9 +223,9 @@ def retire_serve_pools(index: Optional[int] = None) -> None:
     Crash recovery for the serving host: a dead worker strands its
     resident sessions, so the host retires that worker's pool and
     replays each stranded session from its last checkpoint onto a
-    fresh one.  Unlike the shard fleet, serving workers are mutually
-    independent — pass ``index`` to retire just the broken one;
-    ``None`` retires them all (atexit / host shutdown).
+    fresh one.  Serving workers are mutually independent — pass
+    ``index`` to retire just the broken one; ``None`` retires them all
+    (atexit / host shutdown).
     """
     if index is not None:
         pool = _SERVE_POOLS.pop(index, None)

@@ -133,11 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=_ENGINE_HELP,
     )
     vc.add_argument(
-        "--shards", type=int, default=1,
-        help="partition the run across worker processes (port algorithm "
-        "only; results bit-identical; small graphs fall back to serial)",
-    )
-    vc.add_argument(
         "--replay",
         choices=list(REPLAY_MODES),
         default="incremental",
@@ -205,11 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=list(ENGINES),
         default="auto",
         help=_ENGINE_HELP,
-    )
-    sw.add_argument(
-        "--shards", type=int, default=1,
-        help="partition each run across worker processes (port algorithm "
-        "only; results bit-identical; small graphs fall back to serial)",
     )
     sw.add_argument(
         "--replay",
@@ -439,9 +429,7 @@ def _run_vc(args) -> dict:
     if args.fault != "none":
         return _run_vc_faulty(args, graph, weights)
     if args.algorithm == "port":
-        result = vertex_cover_2approx(
-            graph, weights, engine=args.engine, shards=args.shards
-        )
+        result = vertex_cover_2approx(graph, weights, engine=args.engine)
     else:
         result = vertex_cover_broadcast(graph, weights, replay=args.replay)
     payload = {
@@ -515,7 +503,7 @@ def _run_sweep(args) -> dict:
                 jobs.append(
                     edge_packing_job(
                         graph, weights, metering=args.metering,
-                        engine=args.engine, shards=args.shards,
+                        engine=args.engine,
                     )
                 )
             else:
@@ -560,7 +548,6 @@ def _run_sweep(args) -> dict:
         "family": args.family,
         "metering": args.metering,
         "engine": args.engine if args.algorithm == "port" else None,
-        "shards": args.shards if args.algorithm == "port" else None,
         "replay": args.replay if args.algorithm == "broadcast" else None,
         "workers": args.workers,
         "backend": (

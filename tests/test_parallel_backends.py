@@ -14,10 +14,15 @@ also part of tier-1.
 
 from __future__ import annotations
 
+import os
+import pathlib
 import pickle
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro._util.parallel import (
     BACKENDS,
     FailureReport,
@@ -374,3 +379,44 @@ class TestJobResultsReportPlumbing:
         jr = JobResults([1])
         assert jr.failure_report.backend == "unknown"
         assert jr.failure_report.clean
+
+
+_POOLS_THEN_EXIT = """
+from repro.core.edge_packing import edge_packing_job
+from repro.dynamic import DynamicRun, RandomChurn, ServingHost
+from repro.graphs import families
+from repro.graphs.weights import unit_weights
+from repro.simulator.runtime import sweep
+
+jobs = [edge_packing_job(families.cycle_graph(n), unit_weights(n))
+        for n in (16, 24)]
+results = sweep(jobs, n_workers=2, backend="process")
+assert all(r.all_halted for r in results)
+
+host = ServingHost(workers=1)
+graph = families.cycle_graph(16)
+session = DynamicRun.vertex_cover(graph, [1] * graph.n, delta=4)
+host.open_session("s", session)
+stream = RandomChurn(edits_per_batch=2, seed=3, max_degree=4)
+host.apply("s", stream.next_batch(session.graph, session.inputs))
+host.close("s")
+host.shutdown()
+# No explicit pool teardown: the warm process and serve pools are left
+# for the atexit shutdown_pools hook.
+"""
+
+
+def test_warm_pools_exit_cleanly_at_interpreter_exit():
+    """A process that leaves warm process and serve pools behind exits
+    with status 0 and nothing on stderr (no atexit traceback)."""
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _POOLS_THEN_EXIT],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stderr == ""
