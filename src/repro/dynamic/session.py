@@ -74,7 +74,6 @@ from __future__ import annotations
 
 import math
 import pickle
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import (
@@ -89,7 +88,6 @@ from typing import (
 )
 
 from repro import obs
-from repro._util.memo import GenerationalMemo
 from repro._util.ordering import canonical_key
 from repro.obs import EV_DYNAMIC_BATCH, SPAN_BATCH
 from repro._util.sizes import message_size_bits
@@ -103,6 +101,7 @@ from repro.simulator.runtime import (
     RunResult,
     _bad_arity,
     _make_contexts,
+    _node_context,
     run,
 )
 
@@ -186,6 +185,25 @@ class _SessionHistory:
     round_bits: List[int]
 
 
+def _row_meter(
+    row: Any, deg: int, port_model: bool, meter_bits: bool
+) -> Tuple[int, int]:
+    """(messages, bits) one recorded emission row put on the wire: a
+    port row's non-``None`` entries, or a broadcast payload once per
+    link (``bits`` is 0 unless ``meter_bits``)."""
+    if row is None:
+        return 0, 0
+    if not port_model:
+        return deg, deg * message_size_bits(row) if meter_bits else 0
+    c = b = 0
+    for msg in row:
+        if msg is not None:
+            c += 1
+            if meter_bits:
+                b += message_size_bits(msg)
+    return c, b
+
+
 def _record_run(
     graph: PortNumberedGraph,
     machine: Machine,
@@ -240,8 +258,7 @@ def _record_run(
     )
 
     meter = Metering.of(metering)
-    model = machine.model
-    size_of = message_size_bits
+    port_model = machine.model == PORT_NUMBERING
     R = result.rounds
     degs = list(graph.degree_array)
     out_cols: List[List[Any]] = []
@@ -253,22 +270,11 @@ def _record_run(
         out_cols.append([out_rows[t][v] for t in range(k)])
         st_cols.append([st_rows[t][v] for t in range(k)])
         halt_counts[h] = halt_counts.get(h, 0) + 1
-    round_msgs: List[int] = []
-    if meter.counts_messages:
-        for t in range(R):
-            row = out_rows[t]
-            c = 0
-            if model == PORT_NUMBERING:
-                for out in row:
-                    if out is not None:
-                        for msg in out:
-                            if msg is not None:
-                                c += 1
-            else:
-                for v, payload in enumerate(row):
-                    if payload is not None:
-                        c += degs[v]
-            round_msgs.append(c)
+    round_msgs = [
+        sum(_row_meter(out, degs[v], port_model, False)[0]
+            for v, out in enumerate(row))
+        for row in out_rows
+    ] if meter.counts_messages else []
     # Per-round bits are exactly what the engine metered.
     round_bits = list(result.per_round_bits) if meter.meters_bits else []
     history = _SessionHistory(
@@ -324,7 +330,7 @@ def _remap_history(
     meter = Metering.of(metering)
     count_msgs = meter.counts_messages
     meter_bits = meter.meters_bits
-    size_of = message_size_bits
+    port_model = model == PORT_NUMBERING
     out_cols = hist.out
     halt_counts = hist.halt_counts
     round_msgs = hist.round_msgs
@@ -347,19 +353,7 @@ def _remap_history(
             if count_msgs:
                 d_rec = hist.deg[old]
                 for t, row in enumerate(out_cols[old]):
-                    if row is None:
-                        continue
-                    if model == PORT_NUMBERING:
-                        cnt = 0
-                        bits = 0
-                        for msg in row:
-                            if msg is not None:
-                                cnt += 1
-                                if meter_bits:
-                                    bits += size_of(msg)
-                    else:
-                        cnt = d_rec
-                        bits = d_rec * size_of(row) if meter_bits else 0
+                    cnt, bits = _row_meter(row, d_rec, port_model, meter_bits)
                     if cnt:
                         round_msgs[t] -= cnt
                         if meter_bits:
@@ -414,10 +408,10 @@ def _cone_replay(
     implements exactly the engine semantics of
     :func:`repro.simulator.runtime.run` — halted nodes silent, a node
     halting after round ``t`` still delivers its round-``t`` messages,
-    broadcast inboxes are the content-sorted neighbour payloads.  Like
-    ``run_reference``, this loop deliberately *mirrors* the fast
-    engine rather than sharing code with it; the incremental ≡ scratch
-    differential suites are the drift alarm.
+    broadcast inboxes are the content-sorted neighbour payloads.  It
+    keeps its own loop rather than calling the object engine because it
+    steps only the cone and meters *deltas* against recorded rows; the
+    incremental ≡ scratch differential suites are the drift alarm.
 
     Returns ``(cone_size, node_rounds)`` — nodes re-executed and the
     total (node, round) step count, the light cone's area.
@@ -425,9 +419,7 @@ def _cone_replay(
     meter = Metering.of(metering)
     count_msgs = meter.counts_messages
     meter_bits = meter.meters_bits
-    size_of = message_size_bits
-    model = machine.model
-    port_model = model == PORT_NUMBERING
+    port_model = machine.model == PORT_NUMBERING
     out_cols = hist.out
     st_cols = hist.st
     halt_round = hist.halt_round
@@ -450,15 +442,9 @@ def _cone_replay(
             max_act = a
 
     g = dict(globals_map or {})
-    ctxs: Dict[int, LocalContext] = {}
-    for v in cone:
-        rng = random.Random(f"node-rng:{seed}:{v}") if seed is not None else None
-        ctxs[v] = LocalContext(
-            degree=topo.degree(v),
-            input=None if inputs is None else inputs[v],
-            globals=g,
-            rng=rng,
-        )
+    ctxs: Dict[int, LocalContext] = {
+        v: _node_context(v, topo.degree(v), inputs, g, seed) for v in cone
+    }
 
     emit = machine.emit
     step = machine.step
@@ -469,21 +455,6 @@ def _cone_replay(
     def old_row(u: int, t: int) -> Any:
         rows = out_cols[u]
         return rows[t] if t < len(rows) else None
-
-    def row_meter(row: Any, deg: int) -> Tuple[int, int]:
-        """(messages, bits) one emission row contributes to round totals."""
-        if row is None:
-            return 0, 0
-        if port_model:
-            c = 0
-            b = 0
-            for msg in row:
-                if msg is not None:
-                    c += 1
-                    if meter_bits:
-                        b += size_of(msg)
-            return c, b
-        return deg, deg * size_of(row) if meter_bits else 0
 
     def bump(t: int, dm: int, db: int) -> None:
         while len(round_msgs) <= t:
@@ -500,24 +471,38 @@ def _cone_replay(
         if not count_msgs:
             return
         rows = out_cols[v]
-        deg = rec_deg[v]
         for t in range(start_t, len(rows)):
-            c, b = row_meter(rows[t], deg)
+            c, b = _row_meter(rows[t], rec_deg[v], port_model, meter_bits)
             if c or b:
                 bump(t, -c, -b)
 
-    fresh_out: Dict[int, List[Any]] = {}
-    fresh_st: Dict[int, List[Any]] = {}
+    # fresh[u]: cone node u's emission in the current round t;
+    # keys[u]: the canonical key of u's round-t row.  Reset every round.
+    fresh: Dict[int, Any] = {}
+    keys: Dict[int, Any] = {}
+
+    def row_at(u: int) -> Any:
+        """``u``'s round-``t`` emission: the fresh row once the wavefront
+        has reached ``u`` (``None`` if it halted), else the recorded one."""
+        if u in cone and cone[u] <= t:
+            return fresh.get(u)
+        rows = out_cols[u]
+        return rows[t] if t < len(rows) else None
+
+    def key_of(u: int) -> Any:
+        k = keys.get(u)
+        if k is None:
+            k = keys[u] = canonical_key(row_at(u))
+        return k
+
+    fresh_out: Dict[int, List[Any]] = {v: [] for v in cone}
+    fresh_st: Dict[int, List[Any]] = {v: [] for v in cone}
     new_halt: Dict[int, float] = {}
     states: Dict[int, Any] = {}
-    for v in cone:
-        fresh_out[v] = []
-        fresh_st[v] = []
 
     live: List[int] = []
     node_rounds = 0
     t = 0
-    cur_rows: Dict[int, Any] = {}
     while (live or t <= max_act) and t < max_rounds:
         # -- activations: nodes whose light cone opens this round.
         for v in by_activation.get(t, ()):
@@ -540,7 +525,8 @@ def _cone_replay(
         # -- fresh emissions: cone nodes the wavefront has reached.
         # A node at distance t + 1 is activated (it must step this
         # round) but its round-t emission still matches the recording.
-        cur_rows.clear()
+        fresh.clear()
+        keys.clear()
         for v in live:
             if cone[v] > t:
                 continue
@@ -551,75 +537,41 @@ def _cone_replay(
                     out = list(out)
                 if len(out) != deg:
                     raise _bad_arity(deg, len(out))
-            cur_rows[v] = out
+            fresh[v] = out
             fresh_out[v].append(out)
             if count_msgs:
-                oc, ob = row_meter(old_row(v, t), rec_deg[v])
-                nc, nb = row_meter(out, ctxs[v].degree)
+                oc, ob = _row_meter(
+                    old_row(v, t), rec_deg[v], port_model, meter_bits
+                )
+                nc, nb = _row_meter(out, ctxs[v].degree, port_model, meter_bits)
                 if nc != oc or nb != ob:
                     bump(t, nc - oc, nb - ob)
 
         # -- deliver and step the live cone.
-        if port_model:
-            next_live: List[int] = []
-            for v in live:
-                inbox = []
+        next_live: List[int] = []
+        for v in live:
+            if port_model:
+                inbox: Any = []
                 for (u, q) in topo.ports(v):
-                    if u in cone and cone[u] <= t:
-                        row = cur_rows.get(u)
-                    else:
-                        row = old_row(u, t)
+                    row = row_at(u)
                     inbox.append(None if row is None else row[q])
-                st = step(ctxs[v], states[v], inbox)
-                node_rounds += 1
-                states[v] = st
-                fresh_st[v].append(st)
-                if halted_fn(ctxs[v], st):
-                    new_halt[v] = t + 1
-                    retire_old_rows(v, t + 1)
-                else:
-                    next_live.append(v)
-            live = next_live
-        else:
-            payloads: Dict[int, Any] = {}
-            keys: Dict[int, Any] = {}
-
-            def payload_of(u: int) -> Any:
-                if u in payloads:
-                    return payloads[u]
-                if u in cone and cone[u] <= t:
-                    p = cur_rows.get(u)
-                else:
-                    p = old_row(u, t)
-                payloads[u] = p
-                return p
-
-            def key_of(u: int) -> Any:
-                k = keys.get(u)
-                if k is None:
-                    k = canonical_key(payload_of(u))
-                    keys[u] = k
-                return k
-
-            next_live = []
-            for v in live:
+            else:
                 # Content-sorted multiset of neighbour payloads; the
                 # stable sort over the canonical neighbour order equals
                 # the engine's sender-anonymous inbox.
                 inbox = tuple(
-                    payload_of(u)
-                    for u in sorted(topo.neighbours(v), key=key_of)
+                    row_at(u) for u in sorted(topo.neighbours(v), key=key_of)
                 )
-                st = step(ctxs[v], states[v], inbox)
-                node_rounds += 1
-                states[v] = st
-                fresh_st[v].append(st)
-                if halted_fn(ctxs[v], st):
-                    new_halt[v] = t + 1
-                    retire_old_rows(v, t + 1)
-                else:
-                    next_live.append(v)
-            live = next_live
+            st = step(ctxs[v], states[v], inbox)
+            node_rounds += 1
+            states[v] = st
+            fresh_st[v].append(st)
+            if halted_fn(ctxs[v], st):
+                new_halt[v] = t + 1
+                retire_old_rows(v, t + 1)
+            else:
+                next_live.append(v)
+        live = next_live
         t += 1
 
     # -- halt histogram: move every cone node old -> new.
@@ -776,11 +728,9 @@ class DynamicRun:
         self._batches = 0
         self._view_cache: Optional[Tuple[int, CoverView]] = None
         self.stats: List[BatchStats] = []
-        # One generation of run history per batch; put() retires
-        # everything older than the previous batch automatically.
-        self._memo: Optional[GenerationalMemo] = (
-            GenerationalMemo() if self.mode == "incremental" else None
-        )
+        # Incremental sessions keep the one history the next batch's
+        # warm restart replays against; scratch sessions keep none.
+        self._history: Optional[_SessionHistory] = None
         self._solve_full()
 
     # -- public state ---------------------------------------------------
@@ -839,13 +789,12 @@ class DynamicRun:
         """Solve the whole current graph; returns the node count
         re-executed (always n here)."""
         graph = self.graph
-        if self._memo is None:
+        if self._topo is None:
             self._result = run(graph, self._machine, **self._run_kwargs())
         else:
-            self._result, history = _record_run(
+            self._result, self._history = _record_run(
                 graph, self._machine, **self._run_kwargs()
             )
-            self._memo.put(self._generation, "history", history)
         return graph.n
 
     def apply(self, edits: Sequence[GraphEdit]) -> BatchStats:
@@ -905,19 +854,13 @@ class DynamicRun:
             topo.rollback_last(self._inputs)
             raise
         self._generation += 1
-        prev_result = self._result
-        hist = (
-            self._memo.get(self._generation - 1, "history")
-            if self._memo is not None
-            else None
-        )
         try:
-            repaired, cone_rounds = self._repair(ob, hist, prev_result)
+            repaired, cone_rounds = self._repair(ob)
         except Exception:
             # The batch is committed; a repair failure must not leave a
             # half-spliced session.  Drop the (possibly corrupt)
             # history and re-solve the committed graph outright.
-            self._memo = GenerationalMemo()
+            self._history = None
             repaired = self._solve_full()
             cone_rounds = 0
         return self._finish_batch(edits, len(ob.touched), repaired, cone_rounds, t0)
@@ -934,15 +877,11 @@ class DynamicRun:
             # Vertex churn is O(n) anyway; use the reference check.
             self._validate(self._topo.materialise(), self._inputs)
 
-    def _repair(
-        self,
-        ob: OverlayBatch,
-        hist: Optional[_SessionHistory],
-        prev_result: RunResult,
-    ) -> Tuple[int, int]:
+    def _repair(self, ob: OverlayBatch) -> Tuple[int, int]:
         n = self._topo.n
+        hist, prev_result = self._history, self._result
         if hist is None or not prev_result.all_halted:
-            # Evicted history, or the previous run was cut off by
+            # Dropped history, or the previous run was cut off by
             # max_rounds (replay would be unsound): full recorded solve.
             return self._solve_full(), 0
         seeds = set(ob.touched)
@@ -958,7 +897,7 @@ class DynamicRun:
                 hist, prev_result, ob.node_map, n,
                 self._machine.model, self._metering,
             )
-        cone, node_rounds = _cone_replay(
+        return _cone_replay(
             self._topo,
             self._machine,
             self._inputs,
@@ -970,8 +909,6 @@ class DynamicRun:
             prev_result,
             dist,
         )
-        self._memo.put(self._generation, "history", hist)
-        return cone, node_rounds
 
     def _finish_batch(
         self,
@@ -1031,15 +968,9 @@ class DynamicRun:
         edge set (the graph is rebuilt canonically on restore), the
         machine (with its warm memo caches — pickling them is pinned by
         ``tests/test_parallel_backends.py``) and, for incremental
-        sessions, the current generation's session history out of the
-        :class:`GenerationalMemo`.  Versioned via
+        sessions, the session history.  Versioned via
         :data:`SNAPSHOT_VERSION`; restored by :meth:`restore`.
         """
-        history = (
-            self._memo.get(self._generation, "history")
-            if self._memo is not None
-            else None
-        )
         if self._topo is not None:
             n, edges = self._topo.n, self._topo.edges_sorted()
         else:
@@ -1062,7 +993,7 @@ class DynamicRun:
             "batches": self._batches,
             "stats": list(self.stats),
             "result": self._result,
-            "history": history,
+            "history": self._history,
         }
         return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
 
@@ -1113,13 +1044,7 @@ class DynamicRun:
         session._view_cache = None
         session.stats = list(payload["stats"])
         session._result = payload["result"]
-        session._memo = (
-            GenerationalMemo() if session.mode == "incremental" else None
-        )
-        if session._memo is not None and payload["history"] is not None:
-            session._memo.put(
-                session._generation, "history", payload["history"]
-            )
+        session._history = payload["history"]
         return session
 
     # -- cover readout ---------------------------------------------------

@@ -9,9 +9,13 @@ experiments of Section 5.
 
 Two engines implement the same semantics:
 
-* :func:`run` — the fast engine: CSR flat-array delivery over
-  preallocated, reused inbox buffers; halted nodes are skipped
-  entirely; per-round method lookups hoisted out of the loop.
+* :func:`run` — the fast engine.  Its object engine is one round loop
+  for both delivery models: CSR scatter into preallocated, reused
+  inbox buffers (port numbering) or content-sorted payload multisets
+  (broadcast); halted nodes are skipped entirely, quiescent nodes
+  parked and fast-forwarded, per-round method lookups hoisted out of
+  the loop.  The columnar engine runs a machine's leading rounds as
+  whole-array passes and hands the rest to the object engine.
 * :func:`run_reference` — the executable specification: a plain
   per-node, per-round loop with fresh allocations and no caches.
   ``tests/test_runtime_equivalence.py`` proves the two produce
@@ -228,6 +232,22 @@ class RunResult:
         return max(self.per_round_bits, default=0)
 
 
+def _node_context(
+    v: int,
+    degree: int,
+    inputs: Optional[Sequence[Any]],
+    globals_map: Dict[str, Any],
+    seed: Optional[int],
+) -> LocalContext:
+    """Node ``v``'s context; the one place per-node RNGs are seeded."""
+    return LocalContext(
+        degree=degree,
+        input=None if inputs is None else inputs[v],
+        globals=globals_map,
+        rng=random.Random(f"node-rng:{seed}:{v}") if seed is not None else None,
+    )
+
+
 def _make_contexts(
     graph: PortNumberedGraph,
     inputs: Optional[Sequence[Any]],
@@ -237,18 +257,10 @@ def _make_contexts(
     if inputs is not None and len(inputs) != graph.n:
         raise ValueError(f"expected {graph.n} inputs, got {len(inputs)}")
     g = dict(globals_map or {})
-    ctxs = []
-    for v in graph.nodes():
-        rng = random.Random(f"node-rng:{seed}:{v}") if seed is not None else None
-        ctxs.append(
-            LocalContext(
-                degree=graph.degree(v),
-                input=None if inputs is None else inputs[v],
-                globals=g,
-                rng=rng,
-            )
-        )
-    return ctxs
+    return [
+        _node_context(v, graph.degree(v), inputs, g, seed)
+        for v in graph.nodes()
+    ]
 
 
 def _bad_arity(degree: int, emitted: int) -> ValueError:
@@ -331,11 +343,7 @@ def run(
     meter = Metering.of(metering)
     if replay is not None:
         machine = machine.with_replay(replay)
-    if machine.model == PORT_NUMBERING:
-        engine_fn = _run_fast_port
-    elif machine.model == BROADCAST:
-        engine_fn = _run_fast_broadcast
-    else:
+    if machine.model not in (PORT_NUMBERING, BROADCAST):
         raise ValueError(f"unknown model {machine.model!r}")
 
     tr = obs.current()
@@ -359,7 +367,7 @@ def run(
         halted: List[bool] = [
             machine.halted(ctxs[v], states[v]) for v in graph.nodes()
         ]
-        result = engine_fn(
+        result = _run_object(
             graph, machine, ctxs, states, halted,
             max_rounds, observer, fault_adversary, meter,
         )
@@ -424,7 +432,7 @@ def _run_columnar_port(
     Runs the machine's declared leading rounds as whole-array passes
     over a :class:`~repro.simulator.state_layout.StateLayout`, then
     materialises per-node states and delegates the remaining rounds to
-    :func:`_run_fast_port`.  Covered rounds are port-uniform, so
+    :func:`_run_object`.  Covered rounds are port-uniform, so
     delivery is the single gather ``values[targets]``; the gathered
     inbox columns are handed to kernels *read-only* — the columnar
     counterpart of the object engine's reused-buffer trap, made
@@ -478,7 +486,7 @@ def _run_columnar_port(
         )
     states = machine.finish_columnar(layout, ctxs)
     halted = [machine.halted(ctxs[v], states[v]) for v in graph.nodes()]
-    inner = _run_fast_port(
+    inner = _run_object(
         graph, machine, ctxs, states, halted,
         max_rounds - plan.rounds, None, None, meter,
     )
@@ -493,7 +501,7 @@ def _run_columnar_port(
     )
 
 
-def _run_fast_port(
+def _run_object(
     graph: PortNumberedGraph,
     machine: Machine,
     ctxs: List[LocalContext],
@@ -504,8 +512,15 @@ def _run_fast_port(
     adversary: Optional[Any],
     meter: Metering,
 ) -> RunResult:
+    """The object engine: one round loop for both delivery models.
+
+    Only delivery is model-specific: the emit write (port scatter into
+    reused inboxes, or the broadcast payload plus its canonical key),
+    the inbox a node steps on, and the chaos round's link keys.
+    """
     n = graph.n
     degrees = graph.degree_array
+    port = machine.model == PORT_NUMBERING
 
     emit = machine.emit
     step = machine.step
@@ -542,8 +557,9 @@ def _run_fast_port(
     message_bits = 0
     per_round_bits: List[int] = []
     live = [v for v in range(n) if not halted[v]]
-    # silent[v] == 1 means every slot v feeds already holds None, so a
-    # silent round needs no writes at all (inboxes start out all-None).
+    # silent[v] == 1 means nothing v emitted is still in flight: every
+    # slot v feeds holds None (port) / its payload is None (broadcast).
+    # Inboxes and payloads start out all-None.
     silent = bytearray([1]) * n
 
     if use_parking and live:
@@ -559,126 +575,84 @@ def _run_fast_port(
                 still_live.append(v)
         live = still_live
 
-    # Preallocated inboxes, reused across rounds; scatter[v] lists, for
-    # each of v's ports in order, the (neighbour inbox, slot) it feeds.
-    # Built only when the round loop can actually run — a start state
-    # with every node halted or parked (the columnar handoff on fully
-    # quiescent instances) skips the allocation entirely.
-    inboxes: List[List[Any]] = []
+    # Delivery buffers, built only when the round loop can actually run
+    # (a start state with every node halted or parked — the columnar
+    # handoff on fully quiescent instances — skips the allocation).
+    # Port: preallocated inboxes reused across rounds; scatter[v] lists,
+    # for each of v's ports in order, the (neighbour inbox, slot) it
+    # feeds.  Broadcast: payloads[v] and keys[v] hold v's emission and
+    # its canonical sort key; inboxes[v] is the multiset v steps on.
+    inboxes: List[Any] = []
     scatter: List[List[Tuple[List[Any], int]]] = []
+    nbrs: List[Sequence[int]] = []
+    payloads: List[Any] = [None] * n
+    keys: List[Any] = [_NONE_KEY] * n
     if max_rounds > 0 and n_halted + len(parked) < n:
-        offsets, flat_targets, flat_rev = graph.csr()
-        inboxes = [[None] * degrees[v] for v in range(n)]
-        for v in range(n):
-            s, e = offsets[v], offsets[v + 1]
-            scatter.append(
-                [(inboxes[u], q)
-                 for u, q in zip(flat_targets[s:e], flat_rev[s:e])]
-            )
+        if port:
+            offsets, flat_targets, flat_rev = graph.csr()
+            inboxes = [[None] * degrees[v] for v in range(n)]
+            for v in range(n):
+                s, e = offsets[v], offsets[v + 1]
+                scatter.append(
+                    [(inboxes[u], q)
+                     for u, q in zip(flat_targets[s:e], flat_rev[s:e])]
+                )
+        else:
+            nbrs = [graph.neighbours(v) for v in range(n)]
+            inboxes = [None] * n
+    if port:
+        silence = partial(_silence_port, scatter, silent)
+    else:
+        silence = partial(_silence_broadcast, payloads, keys, silent)
 
     tr = obs.current()
     while rounds < max_rounds and n_halted + len(parked) < n:
         rt0 = tr.now() if tr is not None else 0.0
         paused: frozenset = _EMPTY_SET
         if adversary is not None:
-            changed = False
-            if adv_restarted is not None:
-                for v in sorted(set(adv_restarted(rounds, graph))):
-                    states[v] = start_fn(ctxs[v])
-                    now = halted_fn(ctxs[v], states[v])
-                    if now != halted[v]:
-                        halted[v] = now
-                        if now:
-                            n_halted += 1
-                            for dst, q in scatter[v]:
-                                dst[q] = None
-                            silent[v] = 1
-                        else:
-                            n_halted -= 1
-                    changed = True
+            redo = (
+                sorted(set(adv_restarted(rounds, graph)))
+                if adv_restarted is not None else []
+            )
+            for v in redo:
+                states[v] = start_fn(ctxs[v])
             if adversary.is_active(rounds):
-                changed = True
                 prev = states
                 # Hand corrupt() a copy: an adversary that assigns into
                 # the list it was given (and returns it) must not alias
                 # `prev`, or the identity check below would miss every
                 # corruption.
                 states = list(adversary.corrupt(rounds, graph, list(prev)))
-                for v in range(n):
-                    if states[v] is not prev[v] and halted[v] != (
-                        now := halted_fn(ctxs[v], states[v])
-                    ):
-                        halted[v] = now
-                        if now:
-                            n_halted += 1
-                            for dst, q in scatter[v]:
-                                dst[q] = None
-                            silent[v] = 1
-                        else:
-                            n_halted -= 1
-            if changed:
+                redo += [v for v in range(n) if states[v] is not prev[v]]
+            for v in redo:
+                now = halted_fn(ctxs[v], states[v])
+                if now != halted[v]:
+                    halted[v] = now
+                    if now:
+                        n_halted += 1
+                        silence(v)
+                    else:
+                        n_halted -= 1
+            if redo:
                 live = [v for v in range(n) if not halted[v]]
             if adv_paused is not None:
                 paused = frozenset(adv_paused(rounds, graph))
 
-        outboxes: Optional[List[Any]] = [None] * n if observer is not None else None
+        outboxes: Optional[List[Any]] = (
+            [None] * n if observer is not None and port else None
+        )
+        chaos = adv_tampers is not None and adv_tampers(rounds)
+        # A chaos round meters the (possibly tampered) links instead.
+        meter_now = count_msgs and not chaos
         round_bits = 0
-        if adv_tampers is not None and adv_tampers(rounds):
-            # Chaos path: collect every emission, expose the full set
-            # of directed links to the adversary, then deliver and
-            # meter from the (possibly tampered) link values.  Mirrors
-            # the reference engine exactly; the hot path below is
-            # untouched in rounds without message tampering.
-            rows: List[Any] = [None] * n
-            for v in live:
-                if v in paused:
-                    continue
-                out = emit(ctxs[v], states[v])
-                if out is None:
-                    if outboxes is not None:
-                        outboxes[v] = [None] * degrees[v]
-                    continue
-                d = degrees[v]
-                if type(out) is not list and type(out) is not tuple:
-                    out = list(out)
-                if len(out) != d:
-                    raise _bad_arity(d, len(out))
-                rows[v] = out
-                if outboxes is not None:
-                    outboxes[v] = out
-            links: Dict[Tuple[int, int], Any] = {}
-            for v in range(n):
-                row = rows[v]
-                if row is None:
-                    for p in range(degrees[v]):
-                        links[(v, p)] = None
-                else:
-                    for p in range(degrees[v]):
-                        links[(v, p)] = row[p]
-            links = adversary.tamper(rounds, graph, links)
-            # Every slot is rewritten from the tampered links, and
-            # silence is recomputed, so later (fast-path) rounds see a
-            # consistent inbox/silent state.
-            for v in range(n):
-                still = 1
-                for p, (dst, q) in enumerate(scatter[v]):
-                    m = links[(v, p)]
-                    dst[q] = m
-                    if m is not None:
-                        still = 0
-                        if count_msgs:
-                            messages_sent += 1
-                            if meter_bits:
-                                round_bits += size_of(m)
-                silent[v] = still
-        else:
+        # Nodes to silence once every step has read its inbox.
+        mute: List[int] = []
+        if port:
             for v in live:
                 if v in paused:
                     # Crashed this round: silent (like halted) but live.
                     if not silent[v]:
-                        for dst, q in scatter[v]:
-                            dst[q] = None
-                        silent[v] = 1
+                        silence(v)
                     continue
                 out = emit(ctxs[v], states[v])
                 if out is None:
@@ -688,9 +662,7 @@ def _run_fast_port(
                         # only halted/crashed nodes show as None.
                         outboxes[v] = [None] * degrees[v]
                     if not silent[v]:
-                        for dst, q in scatter[v]:
-                            dst[q] = None
-                        silent[v] = 1
+                        silence(v)
                     continue
                 silent[v] = 0
                 d = degrees[v]
@@ -702,19 +674,81 @@ def _run_fast_port(
                     outboxes[v] = out
                 for (dst, q), m in zip(scatter[v], out):
                     dst[q] = m
-                if count_msgs:
-                    if meter_bits:
-                        for m in out:
-                            if m is not None:
-                                messages_sent += 1
+                if meter_now:
+                    for m in out:
+                        if m is not None:
+                            messages_sent += 1
+                            if meter_bits:
                                 round_bits += size_of(m)
-                    else:
-                        for m in out:
-                            if m is not None:
-                                messages_sent += 1
+        else:
+            for v in live:
+                if v in paused:
+                    if not silent[v]:
+                        silence(v)
+                    continue
+                p = emit(ctxs[v], states[v])
+                payloads[v] = p
+                keys[v] = canonical_key(p)
+                silent[v] = p is None
+                if p is not None and meter_now:
+                    # One broadcast payload, delivered along every link.
+                    d = degrees[v]
+                    messages_sent += d
+                    if meter_bits:
+                        round_bits += d * size_of(p)
+
+        if chaos:
+            # Expose every directed link to the adversary, then deliver
+            # and meter from the (possibly tampered) link values, exactly
+            # like the reference engine.  Every non-live node is silent
+            # here, so the port slots read back what was really sent.
+            if port:
+                links: Dict[Tuple[int, int], Any] = {
+                    (v, p): dst[q]
+                    for v in range(n)
+                    for p, (dst, q) in enumerate(scatter[v])
+                }
+            else:
+                links = {(v, u): payloads[v] for v in range(n) for u in nbrs[v]}
+            links = adversary.tamper(rounds, graph, links)
+            if count_msgs:
+                for m in links.values():
+                    if m is not None:
+                        messages_sent += 1
+                        if meter_bits:
+                            round_bits += size_of(m)
+            if port:
+                # Rewrite every slot and recompute silence; a halted
+                # sender's injected message is delivered this round only.
+                for v in range(n):
+                    still = 1
+                    for p, (dst, q) in enumerate(scatter[v]):
+                        m = dst[q] = links[(v, p)]
+                        if m is not None:
+                            still = 0
+                    silent[v] = still
+                    if not still and halted[v]:
+                        mute.append(v)
+            else:
+                # A stable sort of the received *values* by canonical
+                # key equals the clean stable sender-sort.
+                for v in live:
+                    if v not in paused:
+                        received = [links[(u, v)] for u in nbrs[v]]
+                        received.sort(key=canonical_key)
+                        inboxes[v] = tuple(received)
+        elif not port:
+            # inbox = canonically sorted multiset of neighbours'
+            # payloads; sorting by content (never by sender) enforces
+            # the broadcast model's anonymity.
+            key_of = keys.__getitem__
+            for v in live:
+                if v not in paused:
+                    inboxes[v] = tuple(
+                        payloads[u] for u in sorted(nbrs[v], key=key_of)
+                    )
 
         next_live: List[int] = []
-        just_halted: List[int] = []
         for v in live:
             if v in paused:
                 # Frozen: no step, the round's inbox is discarded.
@@ -725,20 +759,14 @@ def _run_fast_port(
             if halted_fn(ctxs[v], st):
                 halted[v] = True
                 n_halted += 1
-                just_halted.append(v)
+                mute.append(v)
             elif use_parking and silent[v] and quiescent_fn(ctxs[v], st):
                 # Only silent nodes can be quiescent (quiescence implies
                 # emitting None), so the check is skipped for talkers.
                 parked.append((v, rounds + 1))
-                just_halted.append(v)  # silence its slots like a halted node
+                mute.append(v)
             else:
                 next_live.append(v)
-        # Silence newly halted/parked nodes only after every step has
-        # read its inbox — their final-round messages were deliverable.
-        for v in just_halted:
-            for dst, q in scatter[v]:
-                dst[q] = None
-            silent[v] = 1
         live = next_live
         rounds += 1
         if tr is not None:
@@ -747,7 +775,11 @@ def _run_fast_port(
             message_bits += round_bits
             per_round_bits.append(round_bits)
         if observer is not None:
-            observer(rounds, states, outboxes)
+            observer(rounds, states, outboxes if port else list(payloads))
+        # Newly halted/parked nodes go silent only now: their
+        # final-round messages were deliverable (and observable).
+        for v in mute:
+            silence(v)
 
     # Fast-forward parked nodes to where the plain loop would have left
     # them.  A parked node is silent and ignores its inbox, so only its
@@ -761,8 +793,8 @@ def _run_fast_port(
         if parked_at + used > rounds:
             rounds = parked_at + used
     if meter_bits and len(per_round_bits) < rounds:
+        # Silent tail rounds: no messages, no bits.
         per_round_bits.extend([0] * (rounds - len(per_round_bits)))
-        # (silent tail rounds: no messages, no bits)
 
     outputs = [machine.output(ctxs[v], states[v]) for v in range(n)]
     return RunResult(
@@ -776,189 +808,20 @@ def _run_fast_port(
     )
 
 
-def _run_fast_broadcast(
-    graph: PortNumberedGraph,
-    machine: Machine,
-    ctxs: List[LocalContext],
-    states: List[Any],
-    halted: List[bool],
-    max_rounds: int,
-    observer: Optional[Observer],
-    adversary: Optional[Any],
-    meter: Metering,
-) -> RunResult:
-    n = graph.n
-    degrees = graph.degree_array
-    nbrs = [graph.neighbours(v) for v in range(n)]
+def _silence_port(
+    scatter: List[List[Tuple[List[Any], int]]], silent: bytearray, v: int
+) -> None:
+    for dst, q in scatter[v]:
+        dst[q] = None
+    silent[v] = 1
 
-    emit = machine.emit
-    step = machine.step
-    halted_fn = machine.halted
-    size_of = message_size_bits
-    count_msgs = meter.counts_messages
-    meter_bits = meter.meters_bits
 
-    rounds = 0
-    n_halted = sum(halted)
-    messages_sent = 0
-    message_bits = 0
-    per_round_bits: List[int] = []
-    live = [v for v in range(n) if not halted[v]]
-    payloads: List[Any] = [None] * n
-    keys: List[Any] = [_NONE_KEY] * n
-
-    # Message-fault / crash hooks (getattr: duck-typed adversaries that
-    # predate the extended contract only corrupt states).
-    adv_restarted = adv_paused = adv_tampers = None
-    if adversary is not None:
-        adv_restarted = getattr(adversary, "restarted", None)
-        adv_paused = getattr(adversary, "paused", None)
-        adv_tampers = getattr(adversary, "tampers", None)
-    start_fn = machine.start
-
-    tr = obs.current()
-    while rounds < max_rounds and n_halted < n:
-        rt0 = tr.now() if tr is not None else 0.0
-        paused: frozenset = _EMPTY_SET
-        if adversary is not None:
-            changed = False
-            if adv_restarted is not None:
-                for v in sorted(set(adv_restarted(rounds, graph))):
-                    states[v] = start_fn(ctxs[v])
-                    now = halted_fn(ctxs[v], states[v])
-                    if now != halted[v]:
-                        halted[v] = now
-                        if now:
-                            n_halted += 1
-                            payloads[v] = None
-                            keys[v] = _NONE_KEY
-                        else:
-                            n_halted -= 1
-                    changed = True
-            if adversary.is_active(rounds):
-                changed = True
-                prev = states
-                # Hand corrupt() a copy: an adversary that assigns into
-                # the list it was given (and returns it) must not alias
-                # `prev`, or the identity check below would miss every
-                # corruption.
-                states = list(adversary.corrupt(rounds, graph, list(prev)))
-                for v in range(n):
-                    if states[v] is not prev[v] and halted[v] != (
-                        now := halted_fn(ctxs[v], states[v])
-                    ):
-                        halted[v] = now
-                        if now:
-                            n_halted += 1
-                            payloads[v] = None
-                            keys[v] = _NONE_KEY
-                        else:
-                            n_halted -= 1
-            if changed:
-                live = [v for v in range(n) if not halted[v]]
-            if adv_paused is not None:
-                paused = frozenset(adv_paused(rounds, graph))
-
-        round_bits = 0
-        inboxes_t: Optional[List[Any]] = None
-        if adv_tampers is not None and adv_tampers(rounds):
-            # Chaos path: expose every directed link to the adversary,
-            # then deliver and meter from the (possibly tampered) link
-            # values.  A stable sort of the received *values* by
-            # canonical key equals the normal stable sender-sort, so an
-            # untampered chaos round builds identical inboxes.
-            for v in live:
-                if v in paused:
-                    payloads[v] = None
-                    keys[v] = _NONE_KEY
-                    continue
-                p = emit(ctxs[v], states[v])
-                payloads[v] = p
-                keys[v] = canonical_key(p)
-            links: Dict[Tuple[int, int], Any] = {}
-            for v in range(n):
-                pv = payloads[v]
-                for u in nbrs[v]:
-                    links[(v, u)] = pv
-            links = adversary.tamper(rounds, graph, links)
-            if count_msgs:
-                for m in links.values():
-                    if m is not None:
-                        messages_sent += 1
-                        if meter_bits:
-                            round_bits += size_of(m)
-            inboxes_t = [None] * n
-            for v in live:
-                if v in paused:
-                    continue
-                received = [links[(u, v)] for u in nbrs[v]]
-                received.sort(key=canonical_key)
-                inboxes_t[v] = tuple(received)
-        else:
-            for v in live:
-                if v in paused:
-                    # Crashed this round: silent (like halted) but live.
-                    payloads[v] = None
-                    keys[v] = _NONE_KEY
-                    continue
-                p = emit(ctxs[v], states[v])
-                payloads[v] = p
-                keys[v] = canonical_key(p)
-                if p is not None and count_msgs:
-                    # One broadcast payload, delivered along every link.
-                    d = degrees[v]
-                    messages_sent += d
-                    if meter_bits:
-                        round_bits += d * size_of(p)
-
-        key_of = keys.__getitem__
-        next_live: List[int] = []
-        just_halted: List[int] = []
-        for v in live:
-            if v in paused:
-                # Frozen: no step, the round's inbox is discarded.
-                next_live.append(v)
-                continue
-            # inbox = canonically sorted multiset of neighbours'
-            # payloads; sorting by content (never by sender) enforces
-            # the broadcast model's anonymity.
-            if inboxes_t is not None:
-                inbox = inboxes_t[v]
-            else:
-                inbox = tuple(
-                    payloads[u] for u in sorted(nbrs[v], key=key_of)
-                )
-            st = step(ctxs[v], states[v], inbox)
-            states[v] = st
-            if halted_fn(ctxs[v], st):
-                halted[v] = True
-                n_halted += 1
-                just_halted.append(v)
-            else:
-                next_live.append(v)
-        live = next_live
-        rounds += 1
-        if tr is not None:
-            tr.complete(SPAN_ROUND, rt0, round=rounds - 1)
-        if meter_bits:
-            message_bits += round_bits
-            per_round_bits.append(round_bits)
-        if observer is not None:
-            observer(rounds, states, list(payloads))
-        for v in just_halted:
-            payloads[v] = None
-            keys[v] = _NONE_KEY
-
-    outputs = [machine.output(ctxs[v], states[v]) for v in range(n)]
-    return RunResult(
-        outputs=outputs,
-        rounds=rounds,
-        all_halted=n_halted == n,
-        messages_sent=messages_sent,
-        message_bits=message_bits,
-        per_round_bits=per_round_bits,
-        states=states,
-    )
+def _silence_broadcast(
+    payloads: List[Any], keys: List[Any], silent: bytearray, v: int
+) -> None:
+    payloads[v] = None
+    keys[v] = _NONE_KEY
+    silent[v] = 1
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,7 @@ from __future__ import annotations
 import pytest
 
 from repro.dynamic import DynamicRun, HubChurn, RandomChurn, SlidingWindowStream
+from repro.dynamic.session import _SessionHistory
 from repro.graphs import families
 from repro.graphs.weights import uniform_weights
 
@@ -61,9 +62,9 @@ def _soak(graph, weights, *, algorithm, delta, W, metering, stream_kind, seed,
         assert_run_results_equal(
             inc.result, scr.result, label_a="incremental", label_b="scratch"
         )
-        # The memory contract: stale generations retire as the memo
-        # advances, so at most two buckets are ever live.
-        assert len(inc._memo._buckets) <= 2
+        # The memory contract: the session retains exactly one history
+        # (the current one); each batch splices or replaces it.
+        assert isinstance(inc._history, _SessionHistory)
     assert applied >= 100, f"stream went quiet: only {applied} batches"
     assert inc.cover() == scr.cover()
     assert inc.is_cover()

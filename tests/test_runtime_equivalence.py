@@ -24,7 +24,12 @@ from repro.graphs import families
 from repro.graphs.setcover import random_instance, vc_to_setcover
 from repro.graphs.topology import PortNumberedGraph
 from repro.graphs.weights import uniform_weights
-from repro.simulator.faults import RandomStateCorruption, TargetedCorruption
+from repro.simulator.faults import (
+    FaultAdversary,
+    NodeCrash,
+    RandomStateCorruption,
+    TargetedCorruption,
+)
 from repro.simulator.machine import BROADCAST, PORT_NUMBERING, Machine
 from repro.simulator.runtime import (
     Metering,
@@ -327,3 +332,105 @@ def test_adversary_assigning_into_given_list(machine_cls):
     assert fast.outputs == ref.outputs
     assert fast.rounds == ref.rounds
     assert fast.rounds > max(lifetimes)  # node 0 really was resurrected
+
+
+class _Coasting:
+    """Mixin: talk for ``input`` rounds, then coast silently (ignoring
+    the inbox) for ``input`` more rounds and halt — a toy of the
+    quiescence protocol.  ``steps`` counts ``step`` calls (test
+    instrumentation, not machine state)."""
+
+    def __init__(self):
+        self.steps = 0
+
+    def emit(self, ctx, state):
+        return None if self.quiescent(ctx, state) else super().emit(ctx, state)
+
+    def step(self, ctx, state, inbox):
+        self.steps += 1
+        if self.quiescent(ctx, state):
+            return _TickState(state.ticks + 1, state.heard)
+        return super().step(ctx, state, inbox)
+
+    def halted(self, ctx, state):
+        return state.ticks >= 2 * ctx.input
+
+    def quiescent(self, ctx, state):
+        return state.ticks >= ctx.input
+
+    def fast_forward(self, ctx, state, max_elapsed):
+        elapsed = max(0, min(max_elapsed, 2 * ctx.input - state.ticks))
+        return _TickState(state.ticks + elapsed, state.heard), elapsed
+
+
+class CoastingPortMachine(_Coasting, StaggeredPortMachine):
+    pass
+
+
+class CoastingBroadcastMachine(_Coasting, StaggeredBroadcastMachine):
+    pass
+
+
+@pytest.mark.parametrize("machine_cls", [CoastingPortMachine, CoastingBroadcastMachine])
+def test_quiescent_nodes_park_in_both_models(machine_cls):
+    """Parking and fast-forward are invisible next to the reference,
+    and they really engage: the fast engine makes fewer step calls."""
+    g = families.grid_2d(3, 3)
+    talk = [1, 4, 2, 3, 1, 5, 2, 1, 3]
+    fast_machine, ref_machine = machine_cls(), machine_cls()
+    fast = run(g, fast_machine, inputs=talk)
+    ref = run_reference(g, ref_machine, inputs=talk)
+    assert_run_results_equal(fast, ref, label_a="fast", label_b="reference")
+    assert fast.rounds == 2 * max(talk)
+    assert fast_machine.steps < ref_machine.steps
+
+
+@pytest.mark.parametrize("crash", [False, True])
+@pytest.mark.parametrize("machine_cls", [StaggeredPortMachine, StaggeredBroadcastMachine])
+def test_observer_sees_identical_rounds(machine_cls, crash):
+    """Both engines hand the observer the same (round, states,
+    outboxes) sequence; dynamic sessions record their histories from
+    exactly this contract."""
+    g = families.grid_2d(3, 3)
+    lifetimes = [1, 4, 2, 3, 1, 5, 2, 1, 3]
+    logs = []
+    for engine in (run, run_reference):
+        log = []
+        engine(
+            g, machine_cls(), inputs=lifetimes,
+            fault_adversary=NodeCrash({4: (1, 3), 5: (1, 3)}) if crash else None,
+            observer=lambda r, states, outboxes: log.append(
+                (r, list(states), list(outboxes))
+            ),
+        )
+        logs.append(log)
+    assert logs[0] == logs[1]
+    assert len(logs[0]) == (8 if crash else max(lifetimes))
+
+
+class _GhostOnHaltedLink(FaultAdversary):
+    """Injects one message on a halted sender's link in round 1 only."""
+
+    def is_active(self, round_index):
+        return False
+
+    def tampers(self, round_index):
+        return round_index == 1
+
+    def tamper(self, round_index, graph, links):
+        key = next(iter(links))  # node 0's first link; node 0 has halted
+        assert links[key] is None
+        links[key] = ("ghost",)
+        return links
+
+
+@pytest.mark.parametrize("machine_cls", [StaggeredPortMachine, StaggeredBroadcastMachine])
+def test_injected_message_is_delivered_for_one_round_only(machine_cls):
+    """A tampered-in message on a halted node's link reaches the
+    receiver in that round, and silence returns the round after."""
+    g = families.cycle_graph(4)
+    fast, _ = assert_equivalent(
+        g, machine_cls(), inputs=[1, 4, 4, 4],
+        fault_adversary=_GhostOnHaltedLink(),
+    )
+    assert sum(str(heard).count("ghost") for heard in fast.outputs) == 1
