@@ -102,19 +102,21 @@ _MAX_POOL_FAILURES = 5
 _BACKOFF_BASE_S = 0.05
 _BACKOFF_CAP_S = 1.0
 
-# Warm process pools, one per worker count; kept for the interpreter's
-# lifetime so repeated map_jobs calls (a whole experiment table) pay
-# pool start-up once.  Threads pools are cheap and stay per-call.
-_PROCESS_POOLS: Dict[int, ProcessPoolExecutor] = {}
-
-# Warm single-worker pools for the dynamic serving host
-# (:mod:`repro.dynamic.serving`).  A serving worker keeps its assigned
-# DynamicRun sessions resident between batches, so every batch for a
-# session must land on the same process.  A plain ``_process_pool(p)``
-# cannot promise that, so each serving worker gets a dedicated
-# max_workers=1 pool, warm across hosts like the chunked pools above
-# and shut down with them atexit.
-_SERVE_POOLS: Dict[int, ProcessPoolExecutor] = {}
+# Warm process pools, kept for the interpreter's lifetime (pool
+# start-up is paid once) and shut down together atexit.  One registry,
+# keyed by (kind, int):
+#
+# * ``(_MAP, n)`` — the ``map_jobs`` process backend's pool of ``n``
+#   workers, shared by repeated calls (a whole experiment table).
+#   Thread pools are cheap and stay per-call.
+# * ``(_SERVE, i)`` — serving worker ``i``'s dedicated single-worker
+#   pool (:mod:`repro.dynamic.serving`).  A serving worker keeps its
+#   assigned DynamicRun sessions resident between batches, so every
+#   batch for a session must land on the same process, which a shared
+#   ``n``-worker pool cannot promise.
+_MAP = "map"
+_SERVE = "serve"
+_POOLS: Dict[Tuple[str, int], ProcessPoolExecutor] = {}
 
 
 @dataclass(frozen=True)
@@ -195,12 +197,23 @@ class JobResults(List[Any]):
         return JobResults(list(other) + list(self), self.failure_report)
 
 
+def _warm_pool(key: Tuple[str, int], max_workers: int) -> ProcessPoolExecutor:
+    pool = _POOLS.get(key)
+    if pool is None:
+        pool = _POOLS[key] = ProcessPoolExecutor(max_workers=max_workers)
+    return pool
+
+
+def _retire(key: Tuple[str, int]) -> None:
+    pool = _POOLS.pop(key, None)
+    if pool is not None:
+        pool.shutdown(wait=False, cancel_futures=True)
+
+
 def shutdown_pools() -> None:
     """Shut down every warm process pool (idempotent; runs atexit)."""
-    while _PROCESS_POOLS:
-        _, pool = _PROCESS_POOLS.popitem()
-        pool.shutdown(wait=False, cancel_futures=True)
-    retire_serve_pools()
+    for key in list(_POOLS):
+        _retire(key)
 
 
 def serve_pool(index: int) -> ProcessPoolExecutor:
@@ -211,10 +224,7 @@ def serve_pool(index: int) -> ProcessPoolExecutor:
     process again, and successive :class:`~repro.dynamic.serving.
     ServingHost` instances reuse the same warm fleet.
     """
-    pool = _SERVE_POOLS.get(index)
-    if pool is None:
-        pool = _SERVE_POOLS[index] = ProcessPoolExecutor(max_workers=1)
-    return pool
+    return _warm_pool((_SERVE, index), 1)
 
 
 def retire_serve_pools(index: Optional[int] = None) -> None:
@@ -228,25 +238,17 @@ def retire_serve_pools(index: Optional[int] = None) -> None:
     (atexit / host shutdown).
     """
     if index is not None:
-        pool = _SERVE_POOLS.pop(index, None)
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+        _retire((_SERVE, index))
         return
-    while _SERVE_POOLS:
-        _, pool = _SERVE_POOLS.popitem()
-        pool.shutdown(wait=False, cancel_futures=True)
+    for key in [k for k in _POOLS if k[0] == _SERVE]:
+        _retire(key)
 
 
 atexit.register(shutdown_pools)
 
 
 def _process_pool(n_workers: int) -> ProcessPoolExecutor:
-    pool = _PROCESS_POOLS.get(n_workers)
-    if pool is None:
-        pool = _PROCESS_POOLS[n_workers] = ProcessPoolExecutor(
-            max_workers=n_workers
-        )
-    return pool
+    return _warm_pool((_MAP, n_workers), n_workers)
 
 
 def _retire_pool(n_workers: int, pool: ProcessPoolExecutor) -> None:
@@ -255,8 +257,8 @@ def _retire_pool(n_workers: int, pool: ProcessPoolExecutor) -> None:
     Idempotent, and scoped to the one worker count that broke: healthy
     warm pools for *other* counts deliberately stay alive.
     """
-    if _PROCESS_POOLS.get(n_workers) is pool:
-        del _PROCESS_POOLS[n_workers]
+    if _POOLS.get((_MAP, n_workers)) is pool:
+        del _POOLS[(_MAP, n_workers)]
     pool.shutdown(wait=False, cancel_futures=True)
 
 

@@ -66,8 +66,14 @@ Sessions run on the canonical port numbering (edits are defined on the
 edge set; the session normalises the initial graph, and the overlay
 maintains canonical ports under mutation).  If a previous run was cut
 off by ``max_rounds`` (``all_halted`` false), the warm restart is
-unsound — the session detects this and falls back to a full recorded
-solve, preserving bit-equality.
+unsound — the session detects this and falls back to a full solve,
+preserving bit-equality.
+
+A full solve — the first one, and every fallback — is the same cone
+loop with every node at distance 0 over an empty history: it runs the
+whole graph from ``start()`` and records the history the next batch
+replays against.  An incremental session has this one solver loop;
+only scratch mode calls :func:`~repro.simulator.runtime.run`.
 """
 
 from __future__ import annotations
@@ -100,7 +106,6 @@ from repro.simulator.runtime import (
     Metering,
     RunResult,
     _bad_arity,
-    _make_contexts,
     _node_context,
     run,
 )
@@ -184,6 +189,21 @@ class _SessionHistory:
     round_msgs: List[int]
     round_bits: List[int]
 
+    @classmethod
+    def empty(cls, n: int) -> "_SessionHistory":
+        """The history before any round: empty columns, every node
+        halted at 0 (a full solve re-derives all of them)."""
+        return cls(
+            rounds=0,
+            out=[[] for _ in range(n)],
+            st=[[] for _ in range(n)],
+            halt_round=[0] * n,
+            deg=[0] * n,
+            halt_counts={0: n} if n else {},
+            round_msgs=[],
+            round_bits=[],
+        )
+
 
 def _row_meter(
     row: Any, deg: int, port_model: bool, meter_bits: bool
@@ -202,92 +222,6 @@ def _row_meter(
             if meter_bits:
                 b += message_size_bits(msg)
     return c, b
-
-
-def _record_run(
-    graph: PortNumberedGraph,
-    machine: Machine,
-    inputs: Optional[Sequence[Any]],
-    globals_map: Optional[Mapping[str, Any]],
-    max_rounds: int,
-    metering: Any,
-    seed: Optional[int],
-) -> Tuple[RunResult, _SessionHistory]:
-    """A full :func:`run` that also records the session history.
-
-    The observer sees every round (it disables quiescence parking), so
-    the recording is exact; results are identical to an unobserved run
-    by the engine-equivalence contract.
-    """
-    ctxs = _make_contexts(graph, inputs, globals_map, seed)
-    n = graph.n
-    halt_round: List[float] = [_INF] * n
-    halted_fn = machine.halted
-    # Nodes halted at start are silent from round 0; the observer only
-    # sees rounds >= 1, so establish those exactly up front (start and
-    # halted are pure, so this extra evaluation changes nothing).
-    pending = []
-    for v in range(n):
-        if halted_fn(ctxs[v], machine.start(ctxs[v])):
-            halt_round[v] = 0
-        else:
-            pending.append(v)
-    out_rows: List[List[Any]] = []
-    st_rows: List[List[Any]] = []
-
-    def observer(round_index: int, states: List[Any], outboxes: List[Any]) -> None:
-        out_rows.append(list(outboxes))
-        st_rows.append(list(states))
-        still = []
-        for v in pending:
-            if halted_fn(ctxs[v], states[v]):
-                halt_round[v] = round_index
-            else:
-                still.append(v)
-        pending[:] = still
-
-    result = run(
-        graph,
-        machine,
-        inputs=inputs,
-        globals_map=globals_map,
-        max_rounds=max_rounds,
-        seed=seed,
-        observer=observer,
-        metering=metering,
-    )
-
-    meter = Metering.of(metering)
-    port_model = machine.model == PORT_NUMBERING
-    R = result.rounds
-    degs = list(graph.degree_array)
-    out_cols: List[List[Any]] = []
-    st_cols: List[List[Any]] = []
-    halt_counts: Dict[float, int] = {}
-    for v in range(n):
-        h = halt_round[v]
-        k = int(min(h, R))
-        out_cols.append([out_rows[t][v] for t in range(k)])
-        st_cols.append([st_rows[t][v] for t in range(k)])
-        halt_counts[h] = halt_counts.get(h, 0) + 1
-    round_msgs = [
-        sum(_row_meter(out, degs[v], port_model, False)[0]
-            for v, out in enumerate(row))
-        for row in out_rows
-    ] if meter.counts_messages else []
-    # Per-round bits are exactly what the engine metered.
-    round_bits = list(result.per_round_bits) if meter.meters_bits else []
-    history = _SessionHistory(
-        rounds=R,
-        out=out_cols,
-        st=st_cols,
-        halt_round=halt_round,
-        deg=degs,
-        halt_counts=halt_counts,
-        round_msgs=round_msgs,
-        round_bits=round_bits,
-    )
-    return result, history
 
 
 def _dirty_cone(
@@ -413,6 +347,12 @@ def _cone_replay(
     steps only the cone and meters *deltas* against recorded rows; the
     incremental ≡ scratch differential suites are the drift alarm.
 
+    It is also the session's full solve: with every node at distance 0
+    over an empty history (:meth:`_SessionHistory.empty`) and a blank
+    result, the loop runs the whole graph from ``start()`` and records
+    the complete history as it goes — so an incremental session has
+    this one solver loop and never calls :func:`run`.
+
     Returns ``(cone_size, node_rounds)`` — nodes re-executed and the
     total (node, round) step count, the light cone's area.
     """
@@ -503,8 +443,10 @@ def _cone_replay(
     live: List[int] = []
     node_rounds = 0
     t = 0
-    while (live or t <= max_act) and t < max_rounds:
+    while True:
         # -- activations: nodes whose light cone opens this round.
+        # Round 0's run even when ``max_rounds`` leaves no round to
+        # execute: the run then ends on the start states.
         for v in by_activation.get(t, ()):
             d = cone[v]
             if d == 0:
@@ -521,6 +463,8 @@ def _cone_replay(
                 # (guaranteed live here — earlier halts were pruned).
                 states[v] = st_cols[v][d - 2] if d >= 2 else start(ctxs[v])
                 live.append(v)
+        if t >= max_rounds or not (live or t < max_act):
+            break
 
         # -- fresh emissions: cone nodes the wavefront has reached.
         # A node at distance t + 1 is activated (it must step this
@@ -594,12 +538,11 @@ def _cone_replay(
     else:
         rounds_new = int(max(halt_counts)) if halt_counts else 0
         all_halted = True
-    while len(round_msgs) < rounds_new:
-        round_msgs.append(0)
-    del round_msgs[rounds_new:]
+    if count_msgs:
+        round_msgs.extend([0] * (rounds_new - len(round_msgs)))
+        del round_msgs[rounds_new:]
     if meter_bits:
-        while len(round_bits) < rounds_new:
-            round_bits.append(0)
+        round_bits.extend([0] * (rounds_new - len(round_bits)))
         del round_bits[rounds_new:]
 
     # -- splice the repaired columns and scalars in place.
@@ -713,6 +656,8 @@ class DynamicRun:
         # port numbering so splicing across batches is well defined.
         graph = PortNumberedGraph.from_edges(graph.n, graph.edges)
         inputs = list(inputs)
+        if len(inputs) != graph.n:
+            raise ValueError(f"expected {graph.n} inputs, got {len(inputs)}")
         if validate is not None:
             validate(graph, inputs)
         if self.mode == "incremental":
@@ -786,16 +731,29 @@ class DynamicRun:
         )
 
     def _solve_full(self) -> int:
-        """Solve the whole current graph; returns the node count
-        re-executed (always n here)."""
-        graph = self.graph
+        """Solve the whole current graph — scratch sessions through
+        :func:`run`, incremental ones through the cone loop from an
+        empty history; returns the node count re-executed (always n)."""
         if self._topo is None:
-            self._result = run(graph, self._machine, **self._run_kwargs())
-        else:
-            self._result, self._history = _record_run(
-                graph, self._machine, **self._run_kwargs()
-            )
-        return graph.n
+            self._result = run(self._graph, self._machine, **self._run_kwargs())
+            return self._graph.n
+        n = self._topo.n
+        history = _SessionHistory.empty(n)
+        result = RunResult(
+            outputs=[None] * n, rounds=0, all_halted=True, messages_sent=0,
+            message_bits=0, per_round_bits=[], states=[None] * n,
+        )
+        self._replay(history, result, dict.fromkeys(range(n), 0))
+        self._result, self._history = result, history
+        return n
+
+    def _replay(
+        self, hist: _SessionHistory, result: RunResult, dist: Mapping[int, int]
+    ) -> Tuple[int, int]:
+        return _cone_replay(
+            self._topo, self._machine, self._inputs, self._globals,
+            self._max_rounds, self._metering, self._seed, hist, result, dist,
+        )
 
     def apply(self, edits: Sequence[GraphEdit]) -> BatchStats:
         """Apply one edit batch and re-derive the cover.
@@ -882,7 +840,7 @@ class DynamicRun:
         hist, prev_result = self._history, self._result
         if hist is None or not prev_result.all_halted:
             # Dropped history, or the previous run was cut off by
-            # max_rounds (replay would be unsound): full recorded solve.
+            # max_rounds (replay would be unsound): full solve.
             return self._solve_full(), 0
         seeds = set(ob.touched)
         if not ob.identity:
@@ -897,18 +855,7 @@ class DynamicRun:
                 hist, prev_result, ob.node_map, n,
                 self._machine.model, self._metering,
             )
-        return _cone_replay(
-            self._topo,
-            self._machine,
-            self._inputs,
-            self._globals,
-            self._max_rounds,
-            self._metering,
-            self._seed,
-            hist,
-            prev_result,
-            dist,
-        )
+        return self._replay(hist, prev_result, dist)
 
     def _finish_batch(
         self,

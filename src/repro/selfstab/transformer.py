@@ -44,24 +44,11 @@ every level hits.  Nodes that cannot be fingerprinted (a per-node
 fingerprinted values, or unpicklable state) transparently fall back to
 the scratch path; results are bit-for-bit identical across modes
 (``tests/test_replay_memo.py``).
-
-For a *cheap* wrapped machine — most visibly during its convergence
-window, where pipeline levels are fresh objects and every fingerprint
-is a real pickle — fingerprinting can cost more than the stepping it
-skips.  The machine therefore measures both sides continuously
-(:class:`_AdaptiveFingerprinting`): when a probe window's fingerprint
-cost exceeds the measured cost of the steps its hits avoided, both
-hooks fall back to the plain scratch path for a back-off window
-before probing again — so the steady state (where one whole-step hit
-replaces the entire pipeline recompute) is always rediscovered.  Like
-everything else here the adaptivity is wall-clock only; results never
-change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from repro.obs import clock as _clock
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro._util.identity import IdentityMemo
@@ -85,100 +72,6 @@ class _PipelineState:
 
     def clone(self) -> "_PipelineState":
         return _PipelineState(self.pipeline)
-
-
-class _AdaptiveFingerprinting:
-    """Wall-clock policy: probe whether fingerprinting currently pays.
-
-    For a *cheap* wrapped machine, fingerprinting a pipeline level can
-    cost more than simply re-stepping it — most visibly during the
-    convergence window, where levels are fresh objects every round and
-    each fingerprint is a real pickle.  The machine measures both
-    sides over a probe window of ``step`` calls: the time spent
-    building fingerprints, the time spent in the wrapped machine's
-    ``step`` (giving a running average step cost), and how many steps
-    the memo hits actually avoided.  When the measured fingerprint
-    cost exceeds the measured cost of the steps it saved
-    (``fp_time > avg_step_time × steps_avoided``), fingerprinting is
-    disabled for a back-off window — the scratch stepping path runs
-    instead — and then probed again, so a machine whose steps *are*
-    worth skipping (or a run entering the fault-free steady state,
-    where one whole-step hit replaces the entire pipeline recompute)
-    is always rediscovered.
-
-    The policy only ever changes wall-clock time: the plain path *is*
-    the scratch step body, the memo stays content-addressed, and every
-    differential test holds whatever this decides.
-    """
-
-    __slots__ = (
-        "probe", "backoff", "plain_left", "avg_step", "disables",
-        "_calls", "_fp_s", "_step_s", "_stepped", "_avoided",
-    )
-
-    PROBE = 24
-    BACKOFF = 240
-
-    def __init__(self, probe: int = PROBE, backoff: int = BACKOFF):
-        self.probe = probe
-        self.backoff = backoff
-        self.plain_left = 0
-        self.avg_step: Optional[float] = None  # EMA of one inner.step
-        self.disables = 0  # back-off windows triggered (for tests/stats)
-        self._reset_window()
-
-    def _reset_window(self) -> None:
-        self._calls = 0
-        self._fp_s = 0.0
-        self._step_s = 0.0
-        self._stepped = 0
-        self._avoided = 0
-
-    def use_fingerprints(self) -> bool:
-        """Called once per ``step``; False = take the scratch path."""
-        if self.plain_left > 0:
-            self.plain_left -= 1
-            return False
-        return True
-
-    def plain_now(self) -> bool:
-        """Whether a back-off window is active (``emit`` follows the
-        ``step``-side decision without consuming the budget)."""
-        return self.plain_left > 0
-
-    def note(self, fp_seconds: float, step_seconds: float,
-             stepped: int, avoided: int) -> None:
-        """Account one fingerprinted ``step`` call: time spent on
-        fingerprints, time spent in ``stepped`` real steps, and how
-        many steps the memo hits ``avoided``."""
-        self._calls += 1
-        self._fp_s += fp_seconds
-        self._step_s += step_seconds
-        self._stepped += stepped
-        self._avoided += avoided
-        if self._calls < self.probe:
-            return
-        if self._stepped:
-            sample = self._step_s / self._stepped
-            self.avg_step = (
-                sample if self.avg_step is None
-                else 0.5 * self.avg_step + 0.5 * sample
-            )
-        if self.avg_step is not None:
-            saved = self.avg_step * self._avoided
-            if self._fp_s > saved:
-                # The fingerprints cost more than the stepping they
-                # saved: stop paying for a while.
-                self.plain_left = self.backoff
-                self.disables += 1
-        self._reset_window()
-
-    def note_emit(self, fp_seconds: float, avoided: int) -> None:
-        """Account an ``emit``-side fingerprint (its hits avoid one
-        ``inner.emit`` per level, valued at the step average; no
-        probe-window tick — the window is counted in ``step`` calls)."""
-        self._fp_s += fp_seconds
-        self._avoided += avoided
 
 
 class SelfStabilisingMachine(Machine):
@@ -210,10 +103,6 @@ class SelfStabilisingMachine(Machine):
         # Fingerprints pipeline states *and* message payloads (both
         # recur across rounds by identity once the memos are warm).
         self._state_fps = FingerprintCache(limit=1 << 15) if incremental else None
-        # Measured fingerprint-vs-step adaptivity (wall-clock only):
-        # during unprofitable convergence windows step() falls back to
-        # plain stepping instead of paying for fingerprints that miss.
-        self._adapt = _AdaptiveFingerprinting() if incremental else None
         self._ctx_fps: IdentityMemo = IdentityMemo(limit=1 << 12)
         self._starts: IdentityMemo = IdentityMemo(limit=1 << 12)
 
@@ -247,7 +136,7 @@ class SelfStabilisingMachine(Machine):
             return self.inner.emit(ctx, self.inner.start(ctx))
 
     def emit(self, ctx: LocalContext, state: _PipelineState) -> Any:
-        if self._step_memo is None or self._adapt.plain_now():
+        if self._step_memo is None:
             return self._emit_scratch(ctx, state)
         # Incremental: the stacked message is a pure function of
         # (ctx, pipeline levels 0..T-1); in a fault-free steady state
@@ -256,7 +145,6 @@ class SelfStabilisingMachine(Machine):
         # identity-memoised metering/keying of the payload O(1).
         ctx_fp = self._ctx_fingerprint(ctx)
         key = None
-        t0 = _clock()
         if ctx_fp is not None:
             fp_of = self._state_fps.of
             try:
@@ -267,13 +155,10 @@ class SelfStabilisingMachine(Machine):
                 )
             except Exception:
                 key = None
-        fp_s = _clock() - t0
         if key is not None:
             cached = self._step_memo.get(key)
             if cached is not None:
-                self._adapt.note_emit(fp_s, self.horizon)
                 return cached[0]
-        self._adapt.note_emit(fp_s, 0)
         out = self._emit_scratch(ctx, state)
         if key is not None:
             # 1-tuple wrapper: a silent (None) payload is still cacheable.
@@ -298,7 +183,7 @@ class SelfStabilisingMachine(Machine):
     def step(
         self, ctx: LocalContext, state: _PipelineState, inbox: Sequence[Any]
     ) -> _PipelineState:
-        if self._step_memo is not None and self._adapt.use_fingerprints():
+        if self._step_memo is not None:
             ctx_fp = self._ctx_fingerprint(ctx)
             if ctx_fp is not None:
                 return self._step_incremental(ctx, ctx_fp, state, inbox)
@@ -320,23 +205,14 @@ class SelfStabilisingMachine(Machine):
     ) -> _PipelineState:
         """Skip levels whose (state, inbox) inputs hash-match a previous
         computation; step only dirtied levels through the wrapped
-        machine.  Value-identical to the scratch loop above.
-
-        Fingerprinting and stepping are both timed, feeding the
-        :class:`_AdaptiveFingerprinting` policy that decides whether
-        the *next* calls take this path at all."""
+        machine.  Value-identical to the scratch loop above."""
         memo = self._step_memo
         fp_of = self._state_fps.of
-        fp_s = 0.0
-        step_s = 0.0
-        stepped = 0
-        avoided = 0
         # Whole-step short-circuit: the new pipeline is a pure function
         # of (ctx, pipeline, stacked inbox).  In a fault-free steady
         # state both repeat round after round, so one lookup replaces
         # the entire per-level loop.
         whole_key = None
-        t0 = _clock()
         try:
             whole_key = (
                 b"step",
@@ -346,17 +222,14 @@ class SelfStabilisingMachine(Machine):
             )
         except Exception:
             pass
-        fp_s += _clock() - t0
         if whole_key is not None:
             cached = memo.get(whole_key)
             if cached is not None:
-                self._adapt.note(fp_s, step_s, 0, self.horizon)
                 return cached
         new_levels: List[Any] = [self._start_state(ctx)]
         for i in range(self.horizon):
             level_inbox = self._project_level(ctx, inbox, i)
             prev = state.pipeline[i]
-            t0 = _clock()
             try:
                 # Per-message fingerprints: emitted payload objects are
                 # identity-stable across rounds in steady state (see
@@ -365,27 +238,18 @@ class SelfStabilisingMachine(Machine):
                 key = (ctx_fp, fp_of(prev), tuple(fp_of(m) for m in level_inbox))
             except Exception:
                 key = None  # unfingerprintable level: recompute
-            fp_s += _clock() - t0
-            nxt = None
-            if key is not None:
-                nxt = memo.get(key)
-                if nxt is not None:
-                    avoided += 1
+            nxt = None if key is None else memo.get(key)
             if nxt is None:
-                t0 = _clock()
                 try:
                     nxt = self.inner.step(ctx, prev, level_inbox)
                 except Exception:
                     nxt = self._start_state(ctx)
-                step_s += _clock() - t0
-                stepped += 1
                 if key is not None and nxt is not None:
                     memo.put(key, nxt)
             new_levels.append(nxt)
         result = _PipelineState(tuple(new_levels))
         if whole_key is not None:
             memo.put(whole_key, result)
-        self._adapt.note(fp_s, step_s, stepped, avoided)
         return result
 
     def _start_state(self, ctx: LocalContext) -> Any:

@@ -12,6 +12,23 @@ from hypothesis import strategies as st
 from repro.graphs import families
 from repro.graphs.topology import PortNumberedGraph
 
+
+def _importable(*modules: str) -> bool:
+    try:
+        for name in modules:
+            __import__(name)
+    except ImportError:
+        return False
+    return True
+
+
+#: Marks a test that checks against the exact ILP baseline
+#: (:mod:`repro.baselines.exact`, scipy's ``milp``): it skips where
+#: numpy or scipy is not installed, as in the no-numpy CI job.
+needs_scipy = pytest.mark.skipif(
+    not _importable("numpy", "scipy"), reason="needs numpy and scipy"
+)
+
 # ----------------------------------------------------------------------
 # Deterministic graph suites
 # ----------------------------------------------------------------------

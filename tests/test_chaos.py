@@ -164,7 +164,7 @@ class TestWorkerKillRecovery:
         pools of *other* worker counts (satellite: idempotent cleanup)."""
         # warm a 3-worker pool with an innocent job
         assert map_jobs(_double, [1, 2, 3], 3, backend="process") == [2, 4, 6]
-        pool3 = parallel._PROCESS_POOLS.get(3)
+        pool3 = parallel._POOLS.get((parallel._MAP, 3))
         assert pool3 is not None
 
         marker = str(tmp_path / "kill-retire")
@@ -174,7 +174,7 @@ class TestWorkerKillRecovery:
         )
         assert chaos.failure_report.pool_restarts >= 1
         # the 3-worker pool survived the 2-worker pool's funeral
-        assert parallel._PROCESS_POOLS.get(3) is pool3
+        assert parallel._POOLS.get((parallel._MAP, 3)) is pool3
         assert map_jobs(_double, [5], 3, backend="process") == [10]
 
 

@@ -367,11 +367,13 @@ def test_streams_produce_valid_batches():
             assert graph.max_degree <= 6
 
 
-def test_generic_session_with_nodes_halted_at_start():
-    """A machine whose isolated (degree-0) nodes halt at start() — the
-    generic DynamicRun contract must still hold bit-for-bit, including
-    the executed round count (regression: the recording used to mark
-    start-halted nodes as halting at round 1)."""
+def _check_lonely_halts_session(max_rounds):
+    """Incremental ≡ scratch on all seven RunResult fields, after
+    construction and after each batch, for a machine whose isolated
+    (degree-0) nodes halt at start() and whose other nodes need three
+    rounds — so ``max_rounds`` below 3 cuts every run off with
+    ``all_halted=False``.  Returns each step's ``all_halted`` and the
+    session's batch stats."""
     from repro.graphs.topology import PortNumberedGraph
     from repro.simulator.machine import PORT_NUMBERING, Machine
 
@@ -396,15 +398,41 @@ def test_generic_session_with_nodes_halted_at_start():
     def make(mode):
         g = PortNumberedGraph.from_edges(4, [(2, 3)])  # 0, 1 isolated
         return DynamicRun(
-            g, [None] * 4, LonelyHalts(), {}, 50, mode=mode, flow="custom"
+            g, [None] * 4, LonelyHalts(), {}, max_rounds, mode=mode,
+            flow="custom",
         )
 
     inc, scr = make("incremental"), make("scratch")
     assert_same_result(inc.result, scr.result)
+    halted = [inc.result.all_halted]
     for batch in ([remove_edge(2, 3)], [add_edge(0, 1)], [remove_edge(0, 1)]):
         inc.apply(batch)
         scr.apply(batch)
         assert_same_result(inc.result, scr.result)
+        halted.append(inc.result.all_halted)
+    return halted, inc.stats
+
+
+def test_generic_session_with_nodes_halted_at_start():
+    """The generic DynamicRun contract holds bit-for-bit with nodes
+    halted at start, including the executed round count (regression:
+    the recording used to mark start-halted nodes as halting at
+    round 1)."""
+    halted, _ = _check_lonely_halts_session(50)
+    assert all(halted)
+
+
+@pytest.mark.parametrize("max_rounds", [0, 2])
+def test_generic_session_cut_off_by_max_rounds(max_rounds):
+    """Runs that end on the ``max_rounds`` cap (``all_halted=False``)
+    stay identical to scratch, including ``max_rounds=0``, where no
+    round executes and the result is the start states.  The runs with
+    the edge are cut off; the last batch leaves only isolated nodes,
+    all halted at start, so the next batch is a light-cone repair of
+    just the new edge's endpoints, not a full-solve fallback."""
+    halted, stats = _check_lonely_halts_session(max_rounds)
+    assert halted == [False, True, False, True]
+    assert [s.repaired_nodes for s in stats] == [4, 2, 4]
 
 
 def test_streams_drop_label_memory_on_vertex_churn():

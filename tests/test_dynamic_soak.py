@@ -9,10 +9,10 @@ drift compounds: a warm-restart bug that survives 4 batches rarely
 survives 100 (stale history columns, memo leaks across generations,
 port renumbering debt from repeated vertex churn all accumulate).
 
-The soak also pins the memory contract: :class:`GenerationalMemo`
-retires stale generations as the stream advances — the incremental
-session's memo never holds more than two generation buckets, no
-matter how long the stream runs.
+The soak also pins the memory contract: the incremental session holds
+exactly one :class:`~repro.dynamic.session._SessionHistory` (the
+current one, spliced in place by every batch), no matter how long the
+stream runs.
 
 CI runs this suite in the docs job under a hard timeout; cells are
 sized so the whole module stays well inside it.

@@ -20,7 +20,7 @@ from repro.core.edge_packing import (
 from repro.core.vertex_cover import vertex_cover_2approx
 from repro.graphs import families, ports
 from repro.graphs.weights import adversarial_weights, uniform_weights, unit_weights
-from tests.conftest import small_graph_suite, weighted_graphs
+from tests.conftest import needs_scipy, small_graph_suite, weighted_graphs
 
 
 def _check_full(graph, weights, **kwargs):
@@ -220,6 +220,7 @@ class TestDeltaWParameters:
 
 
 class TestTwoApproximation:
+    @needs_scipy
     @pytest.mark.parametrize(
         "name,graph",
         [(n, g) for n, g in small_graph_suite() if g.n <= 12],
@@ -234,6 +235,7 @@ class TestTwoApproximation:
                 f"{name}: cover {res.cover_weight()} > 2 x OPT {opt}"
             )
 
+    @needs_scipy
     def test_matches_bar_yehuda_even_quality_class(self):
         """Both are maximal packings; both must 2-approximate."""
         g = families.gnp_random(10, 0.35, seed=9)

@@ -27,7 +27,7 @@ from repro.graphs.setcover import (
     vc_to_setcover,
 )
 from repro.graphs import families
-from tests.conftest import setcover_instances
+from tests.conftest import needs_scipy, setcover_instances
 
 
 def figure1_instance():
@@ -165,6 +165,7 @@ class TestFigure1:
         # u4 -> u3 (via s2 and s3), u5 -> u3 (via s3); u2, u3 have outdeg 0
         assert b_edges == {(4, 3), (5, 3)}
 
+    @needs_scipy
     def test_full_run_on_figure1(self):
         inst = figure1_instance()
         res = _check_full(inst)
@@ -204,6 +205,7 @@ class TestSmallInstances:
         res = _check_full(inst)
         assert res.rounds == fp_schedule_length(1, 1, 3)
 
+    @needs_scipy
     def test_symmetric_kpp_selects_everything(self):
         """Figure 3: on the fully symmetric instance the algorithm cannot
         break ties and must select all p subsets — ratio exactly p."""
@@ -232,6 +234,7 @@ class TestVcEncoding:
         for (u, v) in g.edges:
             assert u in cover or v in cover
 
+    @needs_scipy
     def test_path_weighted_as_setcover(self):
         g = families.path_graph(4)
         inst = vc_to_setcover(g, [1, 3, 1, 3])
@@ -241,6 +244,7 @@ class TestVcEncoding:
 
 
 class TestFApproximation:
+    @needs_scipy
     @given(setcover_instances(max_subsets=5, max_elements=6, max_k=3, max_f=2, max_w=4))
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_property_random_instances(self, inst):

@@ -405,160 +405,3 @@ def test_fingerprint_cache_identity_reuse():
     equal = ("payload", 1, 2)
     assert cache.of(equal) == fp1  # equal values, equal fingerprints
     assert content_fingerprint(obj) == fp1
-
-
-# ----------------------------------------------------------------------
-# Adaptive fingerprinting (wall-clock only; results pinned unchanged)
-# ----------------------------------------------------------------------
-
-
-def test_adaptive_policy_disables_and_reprobes():
-    from repro.selfstab.transformer import _AdaptiveFingerprinting
-
-    adapt = _AdaptiveFingerprinting(probe=4, backoff=3)
-    # Cheap steps (1e-5 each), expensive fingerprints (2e-3 per call),
-    # plenty of hits: the saved stepping is worth less than the
-    # fingerprints, so the probe window must disable them.
-    for _ in range(4):
-        assert adapt.use_fingerprints()
-        adapt.note(fp_seconds=2e-3, step_seconds=4e-5, stepped=4, avoided=8)
-    assert not adapt.use_fingerprints()
-    assert not adapt.use_fingerprints()
-    assert not adapt.use_fingerprints()
-    # Back-off exhausted: probing resumes.
-    assert adapt.use_fingerprints()
-    # Steady state: whole-step hits avoid a large pipeline recompute at
-    # near-zero fingerprint cost — must stay enabled.
-    for _ in range(8):
-        adapt.note(fp_seconds=1e-6, step_seconds=0.0, stepped=0, avoided=48)
-        assert adapt.use_fingerprints()
-
-
-def test_adaptive_policy_keeps_fingerprints_when_steps_dominate():
-    from repro.selfstab.transformer import _AdaptiveFingerprinting
-
-    adapt = _AdaptiveFingerprinting(probe=4, backoff=3)
-    # Expensive steps: every avoided step is worth far more than the
-    # fingerprints that found it.
-    for _ in range(12):
-        adapt.note(fp_seconds=1e-5, step_seconds=5e-3, stepped=2, avoided=6)
-        assert adapt.use_fingerprints()
-
-
-def test_adaptive_policy_needs_a_step_sample_first():
-    from repro.selfstab.transformer import _AdaptiveFingerprinting
-
-    adapt = _AdaptiveFingerprinting(probe=2, backoff=4)
-    # All hits, no real step ever measured: no basis to disable.
-    for _ in range(6):
-        adapt.note(fp_seconds=1e-3, step_seconds=0.0, stepped=0, avoided=3)
-        assert adapt.use_fingerprints()
-    assert adapt.avg_step is None
-
-
-def test_selfstab_results_identical_under_forced_adaptivity_toggling():
-    """Force the policy through plain/fingerprint flips every few calls:
-    the run must still equal scratch field-for-field."""
-    from repro.selfstab.transformer import _AdaptiveFingerprinting
-
-    g = families.cycle_graph(6)
-    w = uniform_weights(6, 3, seed=4)
-    horizon = schedule_length(2, 3)
-    kwargs = dict(
-        inputs=list(w),
-        globals_map={"delta": 2, "W": 3},
-        max_rounds=2 * horizon,
-    )
-    machine = SelfStabilisingMachine(
-        EdgePackingMachine(), horizon, replay="incremental"
-    )
-    # Tiny windows + a fake cost model that always reads "unprofitable"
-    # while missing, so the machine keeps flipping between paths.
-    machine._adapt = _AdaptiveFingerprinting(probe=2, backoff=3)
-    adversary = RandomStateCorruption(until_round=6, rate=0.4, seed=1)
-    toggled = run(g, machine, fault_adversary=adversary, **kwargs)
-    scratch = run(
-        g,
-        SelfStabilisingMachine(EdgePackingMachine(), horizon, replay="scratch"),
-        fault_adversary=RandomStateCorruption(until_round=6, rate=0.4, seed=1),
-        **kwargs,
-    )
-    assert_same_result(toggled, scratch)
-
-
-def test_adaptive_fingerprinting_engages_on_unprofitable_workload():
-    """A cheap wrapped machine whose levels are perpetually dirtied
-    (continuous corruption injecting unique content) makes every
-    fingerprint a fresh pickle that saves nothing: the policy must
-    actually disable fingerprinting — and the run must still equal
-    scratch field-for-field."""
-    from repro.simulator.machine import PORT_NUMBERING, Machine
-
-    class CheapUniqueStates(Machine):
-        model = PORT_NUMBERING
-
-        def __init__(self, horizon):
-            self.h = horizon
-
-        def start(self, ctx):
-            return (0, ())
-
-        def emit(self, ctx, state):
-            return [state[0]] * ctx.degree
-
-        def step(self, ctx, state, inbox):
-            c, trail = state
-            if c >= self.h:
-                return state
-            entry = tuple(m if m is not None else -1 for m in inbox) * 16
-            return (c + 1, trail + (entry,))
-
-        def halted(self, ctx, state):
-            return state[0] >= self.h
-
-        def output(self, ctx, state):
-            return state[0]
-
-    def unique_level(rng, st):
-        if not isinstance(st, _PipelineState):
-            return st
-        levels = list(st.pipeline)
-        i = rng.randrange(len(levels))
-        lv = levels[i]
-        if isinstance(lv, tuple) and len(lv) == 2:
-            levels[i] = (lv[0], lv[1] + ((rng.getrandbits(64),) * 16,))
-        return _PipelineState(tuple(levels))
-
-    horizon = 40
-    g = families.cycle_graph(12)
-    kwargs = dict(max_rounds=2 * horizon, metering="none")
-
-    def adversary():
-        return RandomStateCorruption(
-            until_round=10 ** 9, rate=0.6, seed=3, corruptor=unique_level
-        )
-
-    # The disable decision is a wall-clock measurement, which a loaded
-    # host can perturb on any single run; the correctness assertion is
-    # checked every attempt, the timing assertion gets a bounded retry.
-    for _ in range(3):
-        machine = SelfStabilisingMachine(
-            CheapUniqueStates(horizon), horizon, replay="incremental"
-        )
-        inc = run(g, machine, fault_adversary=adversary(), **kwargs)
-        scr = run(
-            g,
-            SelfStabilisingMachine(
-                CheapUniqueStates(horizon), horizon, replay="scratch"
-            ),
-            fault_adversary=adversary(),
-            **kwargs,
-        )
-        assert_same_result(inc, scr)
-        if machine._adapt.disables > 0:
-            break
-    else:
-        pytest.fail(
-            "adaptive fingerprinting never disabled on the unprofitable "
-            "workload across 3 runs"
-        )

@@ -15,7 +15,7 @@ from repro.graphs import families
 from repro.graphs.weights import uniform_weights, unit_weights
 from repro.simulator.machine import LocalContext
 from repro.simulator.runtime import run_port_numbering
-from tests.conftest import trees
+from tests.conftest import needs_scipy, trees
 
 
 class TestTrees:
@@ -32,6 +32,7 @@ class TestTrees:
         ok, _ = check_vertex_cover(g, res.saturated)
         assert ok
 
+    @needs_scipy
     @given(trees(max_n=10))
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_two_approx_on_trees(self, g):
